@@ -205,77 +205,31 @@ let bench_tests () =
 
    A baseline is any earlier `--json` output, or one of the repo's
    saved BENCH_*.json snapshots (a bare array of the same objects).
-   The parser scans the whole file for "name"/"ns_per_run" pairs, so
-   both shapes — and whitespace/pretty-printing differences — are
-   accepted without a JSON dependency. *)
+   A null estimate reads as a missing timing. *)
 
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_baseline file =
-  let s = read_file file in
-  let len = String.length s in
-  let rec skip_ws i =
-    if i < len && (s.[i] = ' ' || s.[i] = '\t' || s.[i] = '\n' || s.[i] = '\r')
-    then skip_ws (i + 1)
-    else i
+let read_timings file =
+  let module J = Obs.Jsonl in
+  let shape () =
+    raise
+      (J.Parse_error
+         { file; line = 1; msg = {|expected [...] or {"timings": [...]}|} })
   in
-  let find from needle =
-    let nl = String.length needle in
-    let rec at i =
-      if i + nl > len then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else at (i + 1)
-    in
-    at from
+  let entries =
+    match J.parse_file file with
+    | J.Object o -> J.req o "timings" (J.list J.obj)
+    | J.Array items ->
+        List.map (function J.Object o -> o | _ -> shape ()) items
+    | _ -> shape ()
   in
-  let rec go acc i =
-    match find i {|"name"|} with
-    | None -> List.rev acc
-    | Some j -> (
-        let j = skip_ws j in
-        if j >= len || s.[j] <> ':' then go acc j
-        else
-          let j = skip_ws (j + 1) in
-          if j >= len || s.[j] <> '"' then go acc j
-          else
-            match String.index_from_opt s (j + 1) '"' with
-            | None -> List.rev acc
-            | Some q -> (
-                let name = String.sub s (j + 1) (q - j - 1) in
-                match find q {|"ns_per_run"|} with
-                | None -> List.rev acc
-                | Some k ->
-                    let k = skip_ws k in
-                    let k = if k < len && s.[k] = ':' then skip_ws (k + 1) else k in
-                    let stop = ref k in
-                    while
-                      !stop < len
-                      &&
-                      match s.[!stop] with
-                      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-                      | _ -> false
-                    do
-                      incr stop
-                    done;
-                    (* a "null" estimate parses as no digits -> None *)
-                    let v =
-                      if !stop > k then
-                        float_of_string_opt (String.sub s k (!stop - k))
-                      else None
-                    in
-                    go ((name, v) :: acc) !stop))
-  in
-  go [] 0
+  List.map
+    (fun o -> (J.req o "name" J.string, J.opt o "ns_per_run" J.float))
+    entries
 
 let compare_baseline ~file timings =
   (* Under --json the comparison goes to stderr so stdout stays valid
      JSON; the exit code carries the verdict either way. *)
   let ppf = if !json then Format.err_formatter else Format.std_formatter in
-  let base = parse_baseline file in
+  let base = read_timings file in
   if base = [] then begin
     Printf.eprintf "bench: no timings found in baseline %s\n" file;
     exit 2
@@ -395,9 +349,9 @@ let run_benches () =
      (* Machine-readable per-experiment timings: a header identifying
         the run (seed, quick/full mode) plus one object per bench,
         suitable for the BENCH_*.json perf trajectory. *)
-     Format.printf {|{"seed": %d, "workload_seed": %d, "mode": %S, "timings": [@.|}
+     Format.printf {|{"seed": %d, "workload_seed": %d, "mode": %s, "timings": [@.|}
        !seed (!seed + 41)
-       (if !quick then "quick" else "full");
+       (Obs.Jsonl.quote (if !quick then "quick" else "full"));
      List.iteri
        (fun i (name, est, (minor, major, majors), _) ->
          let sep = if i = List.length timings - 1 then "" else "," in
@@ -407,8 +361,8 @@ let run_benches () =
            | None -> "null"
          in
          Format.printf
-           {|  {"name": %S, "ns_per_run": %s, "minor_words": %d, "major_words": %d, "majors": %d}%s@.|}
-           name ns minor major majors sep)
+           {|  {"name": %s, "ns_per_run": %s, "minor_words": %d, "major_words": %d, "majors": %d}%s@.|}
+           (Obs.Jsonl.quote name) ns minor major majors sep)
        timings;
      Format.printf "]}@."
    end
@@ -485,10 +439,10 @@ let history args =
   in
   let label file = Filename.chop_suffix (Filename.basename file) ".json" in
   let columns =
-    List.map (fun f -> (label f, parse_baseline f)) snapshots
+    List.map (fun f -> (label f, read_timings f)) snapshots
     @
     match !current with
-    | Some f -> [ ("current", parse_baseline f) ]
+    | Some f -> [ ("current", read_timings f) ]
     | None -> []
   in
   if List.length columns < 1 then begin
@@ -539,7 +493,7 @@ let history args =
       Format.printf "@.")
     names
 
-let () =
+let main () =
   (match Array.to_list Sys.argv with
   | _ :: "history" :: rest ->
       history rest;
@@ -572,3 +526,9 @@ let () =
     | Some file -> compare_baseline ~file timings
     | None -> ()
   end
+
+let () =
+  try main ()
+  with Obs.Jsonl.Parse_error _ as e ->
+    Printf.eprintf "bench: %s\n" (Printexc.to_string e);
+    exit 2

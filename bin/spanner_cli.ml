@@ -286,61 +286,149 @@ let oracle_cmd =
     Term.(const run $ kind_arg $ n_arg $ p_arg $ seed_arg $ input_arg $ k_arg $ queries)
 
 (* ------------------------------------------------------------------ *)
+(* Shared by simulate, serve, sweep and report *)
+
+(* A malformed input file is a user-facing error, not a crash: every
+   loader raises [Obs.Jsonl.Parse_error], reported here. *)
+let exit_on_parse_error f =
+  try f ()
+  with Obs.Jsonl.Parse_error _ as e ->
+    Format.eprintf "spanner_cli: %s@." (Printexc.to_string e);
+    exit 1
+
+(* Fault flags, shared by simulate and serve: NODE@ROUND, U-V@ROUND
+   and U-V lists. *)
+
+let int_pair sep s =
+  match String.split_on_char sep (String.trim s) with
+  | [ a; b ] -> (
+      match (int_of_string_opt a, int_of_string_opt b) with
+      | Some a, Some b -> Some (a, b)
+      | _ -> None)
+  | _ -> None
+
+let spec_conv kind parse pp =
+  Arg.conv ~docv:kind (Arg.parser_of_kind_of_string ~kind parse, pp)
+
+let node_at =
+  spec_conv "NODE@ROUND" (int_pair '@') (fun ppf (v, r) ->
+      Format.fprintf ppf "%d@@%d" v r)
+
+let link =
+  spec_conv "U-V" (int_pair '-') (fun ppf (u, v) ->
+      Format.fprintf ppf "%d-%d" u v)
+
+let edge_at =
+  spec_conv "U-V@ROUND"
+    (fun s ->
+      match String.split_on_char '@' (String.trim s) with
+      | [ uv; r ] -> (
+          match (int_pair '-' uv, int_of_string_opt r) with
+          | Some uv, Some r -> Some (uv, r)
+          | _ -> None)
+      | _ -> None)
+    (fun ppf ((u, v), r) -> Format.fprintf ppf "%d-%d@@%d" u v r)
+
+(* The churn plan of --edge-drop/--edge-up/--partition/--join. *)
+let churn_term =
+  let edges name doc =
+    Arg.(value & opt (list edge_at) [] & info [ name ] ~docv:"SPEC" ~doc)
+  in
+  let edge_drop =
+    edges "edge-drop"
+      "Churn: edges going down, e.g. 3-7@10,5-9@20 (edge 3-7 goes down at \
+       round 10).  A down edge silently swallows messages; the ARQ \
+       retransmits and eventually suspects the peer.  Under serve, any \
+       churn flag rebuilds the spanner under the churn plan and swaps the \
+       new snapshot in atomically while serving."
+  in
+  let edge_up =
+    edges "edge-up" "Churn: edges coming (back) up, same U-V@ROUND syntax."
+  in
+  let partition =
+    Arg.(
+      value
+      & opt (list link) []
+      & info [ "partition" ] ~docv:"LINKS"
+          ~doc:
+            "Churn: cut all listed links at once, e.g. 3-7,5-9 (see \
+             --partition-round and --heal-round).")
+  in
+  let partition_round =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "partition-round" ] ~docv:"R"
+          ~doc:"Round at which the --partition cut happens.")
+  in
+  let heal_round =
+    Arg.(
+      value
+      & opt int 0
+      & info [ "heal-round" ] ~docv:"R"
+          ~doc:
+            "Heal the --partition at round R (0: never heals — the spanner \
+             ends partitioned and each island is certified separately).")
+  in
+  let join =
+    Arg.(
+      value
+      & opt (list node_at) []
+      & info [ "join" ] ~docv:"SPEC"
+          ~doc:
+            "Churn: late node joins, e.g. 4@25 (node 4 only joins the network \
+             at round 25; until then all its links are dead).")
+  in
+  let churn edge_drop edge_up partition partition_round heal_round join =
+    List.map
+      (fun ((u, v), round) -> Distnet.Fault.Edge_down { round; u; v })
+      edge_drop
+    @ List.map
+        (fun ((u, v), round) -> Distnet.Fault.Edge_up { round; u; v })
+        edge_up
+    @ (if partition = [] then []
+       else
+         [
+           Distnet.Fault.Partition
+             {
+               round = partition_round;
+               edges = partition;
+               heal = (if heal_round > 0 then Some heal_round else None);
+             };
+         ])
+    @ List.map (fun (node, round) -> Distnet.Fault.Join { round; node }) join
+  in
+  Term.(
+    const churn $ edge_drop $ edge_up $ partition $ partition_round
+    $ heal_round $ join)
+
+(* --arq-backoff installs the ARQ config as the command line is read. *)
+let arq_backoff_term =
+  let factor =
+    spec_conv "a factor >= 1"
+      (fun s ->
+        match float_of_string_opt s with
+        | Some f when f >= 1. -> Some f
+        | _ -> None)
+      Format.pp_print_float
+  in
+  let set backoff =
+    Distnet.Reliable.set_config
+      { Distnet.Reliable.default_config with backoff }
+  in
+  Term.(
+    const set
+    $ Arg.(
+        value
+        & opt factor Distnet.Reliable.default_config.Distnet.Reliable.backoff
+        & info [ "arq-backoff" ] ~docv:"F"
+            ~doc:
+              "ARQ retransmit-timer growth factor per timeout (1 = fixed \
+               interval; default 2 = classic doubling, byte-identical to \
+               historical behavior)."))
+
+(* ------------------------------------------------------------------ *)
 (* simulate: protocols over a faulty network, with trace/replay *)
-
-let parse_crashes s =
-  (* "v@r,v@r,..." — node v crash-stops at round r. *)
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           let bad () =
-             failwith
-               (Printf.sprintf "bad crash spec %S (want NODE@ROUND,...)" part)
-           in
-           match String.split_on_char '@' (String.trim part) with
-           | [ v; r ] -> (
-               match (int_of_string_opt v, int_of_string_opt r) with
-               | Some v, Some r -> (v, r)
-               | _ -> bad ())
-           | _ -> bad ())
-
-let parse_edge_events what s =
-  (* "u-v@r,u-v@r,..." — the edge u-v changes state at round r. *)
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           let bad () =
-             failwith
-               (Printf.sprintf "bad %s spec %S (want U-V@ROUND,...)" what part)
-           in
-           match String.split_on_char '@' (String.trim part) with
-           | [ uv; r ] -> (
-               match (String.split_on_char '-' uv, int_of_string_opt r) with
-               | [ u; v ], Some r -> (
-                   match (int_of_string_opt u, int_of_string_opt v) with
-                   | Some u, Some v -> (r, u, v)
-                   | _ -> bad ())
-               | _ -> bad ())
-           | _ -> bad ())
-
-let parse_links s =
-  (* "u-v,u-v,..." — the links of a partition cut. *)
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           let bad () =
-             failwith
-               (Printf.sprintf "bad partition link %S (want U-V,...)" part)
-           in
-           match String.split_on_char '-' (String.trim part) with
-           | [ u; v ] -> (
-               match (int_of_string_opt u, int_of_string_opt v) with
-               | Some u, Some v -> (u, v)
-               | _ -> bad ())
-           | _ -> bad ())
 
 let simulate_cmd =
   let drop =
@@ -371,14 +459,14 @@ let simulate_cmd =
   let crash =
     Arg.(
       value
-      & opt string ""
+      & opt (list node_at) []
       & info [ "crash" ] ~docv:"SPEC"
           ~doc:"Crash-stop schedule, e.g. 3@5,9@12 (node 3 dies at round 5).")
   in
   let restart =
     Arg.(
       value
-      & opt string ""
+      & opt (list node_at) []
       & info [ "restart" ] ~docv:"SPEC"
           ~doc:
             "Crash-recovery schedule, e.g. 3@40 (node 3 restarts at round 40 \
@@ -435,57 +523,6 @@ let simulate_cmd =
             "Sabotage the skeleton before certifying: remove one cluster-tree \
              edge from the spanner.  The certifier must reject (exercises the \
              failure path; implies --certify).")
-  in
-  let edge_drop =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-drop" ] ~docv:"SPEC"
-          ~doc:
-            "Churn: edges going down, e.g. 3-7@10,5-9@20 (edge 3-7 goes down \
-             at round 10).  A down edge silently swallows messages; the ARQ \
-             retransmits and eventually suspects the peer.")
-  in
-  let edge_up =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-up" ] ~docv:"SPEC"
-          ~doc:"Churn: edges coming (back) up, same U-V@ROUND syntax.")
-  in
-  let partition =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "partition" ] ~docv:"LINKS"
-          ~doc:
-            "Churn: cut all listed links at once, e.g. 3-7,5-9 (see \
-             --partition-round and --heal-round).")
-  in
-  let partition_round =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "partition-round" ] ~docv:"R"
-          ~doc:"Round at which the --partition cut happens.")
-  in
-  let heal_round =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "heal-round" ] ~docv:"R"
-          ~doc:
-            "Heal the --partition at round R (0: never heals — the spanner \
-             ends partitioned and each island is certified separately).")
-  in
-  let join =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "join" ] ~docv:"SPEC"
-          ~doc:
-            "Churn: late node joins, e.g. 4@25 (node 4 only joins the network \
-             at round 25; until then all its links are dead).")
   in
   let churn_trace =
     Arg.(
@@ -570,36 +607,18 @@ let simulate_cmd =
   let root =
     Arg.(value & opt int 0 & info [ "root" ] ~docv:"V" ~doc:"Protocol root node.")
   in
-  let arq_backoff =
-    Arg.(
-      value
-      & opt float Distnet.Reliable.default_config.Distnet.Reliable.backoff
-      & info [ "arq-backoff" ] ~docv:"F"
-          ~doc:
-            "ARQ retransmit-timer growth factor per timeout (1 = fixed \
-             interval; default 2 = classic doubling, byte-identical to \
-             historical behavior).")
-  in
   let run kind n p seed input drop dup delay max_delay crash restart
-      crash_frac crash_max_round edge_drop edge_up partition partition_round
-      heal_round join churn_trace phase_limit certify mutate trace_file
-      replay_file metrics_file metrics_summary spans_file profile_file
-      audit_bounds strict protocol root arq_backoff =
-    if arq_backoff <> Distnet.Reliable.default_config.Distnet.Reliable.backoff
-    then begin
-      try
-        Distnet.Reliable.set_config
-          { Distnet.Reliable.default_config with backoff = arq_backoff }
-      with Invalid_argument msg ->
-        Format.eprintf "spanner_cli: %s@." msg;
-        exit 1
-    end;
+      crash_frac crash_max_round churn churn_trace phase_limit certify mutate
+      trace_file replay_file metrics_file metrics_summary spans_file
+      profile_file audit_bounds strict protocol root () =
     let g = load_graph ~kind ~n ~p ~seed ~input in
     Format.printf "graph: %a@." Graph.pp_summary g;
     let faults, recorded =
       match replay_file with
       | Some file ->
-          let events, stored = Distnet.Trace.load file in
+          let events, stored =
+            exit_on_parse_error (fun () -> Distnet.Trace.load file)
+          in
           Format.printf "replaying %d events from %s@." (List.length events)
             file;
           (* A loss-free recording must replay over the loss-free
@@ -621,8 +640,7 @@ let simulate_cmd =
           (plan, stored)
       | None ->
           let crashes =
-            let explicit = parse_crashes crash in
-            if crash_frac <= 0. then explicit
+            if crash_frac <= 0. then crash
             else begin
               let rng = Util.Prng.create ~seed:(seed + 87) in
               let picks = ref [] in
@@ -632,40 +650,20 @@ let simulate_cmd =
                     (v, 1 + Util.Prng.int rng (Stdlib.max 1 crash_max_round))
                     :: !picks
               done;
-              explicit @ List.rev !picks
+              crash @ List.rev !picks
             end
           in
           let churn =
-            List.map
-              (fun (r, u, v) -> Distnet.Fault.Edge_down { round = r; u; v })
-              (parse_edge_events "edge-drop" edge_drop)
-            @ List.map
-                (fun (r, u, v) -> Distnet.Fault.Edge_up { round = r; u; v })
-                (parse_edge_events "edge-up" edge_up)
-            @ (match parse_links partition with
-              | [] -> []
-              | links ->
-                  [
-                    Distnet.Fault.Partition
-                      {
-                        round = partition_round;
-                        edges = links;
-                        heal =
-                          (if heal_round > 0 then Some heal_round else None);
-                      };
-                  ])
-            @ List.map
-                (fun (v, r) -> Distnet.Fault.Join { round = r; node = v })
-                (parse_crashes join)
-            @
             match churn_trace with
-            | None -> []
+            | None -> churn
             | Some file ->
-                let events, _ = Distnet.Trace.load file in
-                let churn = Distnet.Fault.churn_of_trace events in
+                let events, _ =
+                  exit_on_parse_error (fun () -> Distnet.Trace.load file)
+                in
+                let traced = Distnet.Fault.churn_of_trace events in
                 Format.printf "churn plan: %d events from %s@."
-                  (List.length churn) file;
-                churn
+                  (List.length traced) file;
+                churn @ traced
           in
           let spec =
             {
@@ -674,7 +672,7 @@ let simulate_cmd =
               delay;
               max_delay;
               crashes;
-              restarts = parse_crashes restart;
+              restarts = restart;
               churn;
               drop_profile = [];
             }
@@ -865,63 +863,45 @@ let simulate_cmd =
       Obs.Report.pp_phase_table Format.std_formatter
         (Obs.Metrics.snapshot reg)
     end;
-    (match metrics_file with
-    | Some file ->
-        (* Meta header first: enough to rebuild the plan and stats, so
-           [report --audit-bounds] can audit the file standalone. *)
-        let meta =
-          let b = Buffer.create 160 in
-          Buffer.add_string b
-            (Printf.sprintf {|{"kind":"meta","algo":"%s","n":%d,"arq":%d|}
-               protocol (Graph.n g)
-               (if Distnet.Fault.is_none faults then 0 else 1));
+    (* Every output file opens with a run header.  The metrics one also
+       carries the plan, so [report --audit-bounds] can audit that file
+       standalone. *)
+    let header kind =
+      let plan =
+        if kind <> "meta" then ""
+        else
           (match !plan_ref with
           | Some (plan : Spanner.Plan.t) ->
-              Buffer.add_string b
-                (Printf.sprintf {|,"d":%d,"eps":%g|} plan.Spanner.Plan.d
-                   plan.Spanner.Plan.eps)
-          | None -> ());
-          (match !spanner_edges_ref with
-          | Some edges ->
-              Buffer.add_string b
-                (Printf.sprintf {|,"spanner_edges":%d|} edges)
-          | None -> ());
-          Buffer.add_string b
-            (Printf.sprintf
-               {|,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
-               stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
-               stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words);
-          Buffer.contents b
-        in
-        Obs.Metrics.save ~extra:[ meta ] reg file;
+              Printf.sprintf {|,"d":%d,"eps":%g|} plan.Spanner.Plan.d
+                plan.Spanner.Plan.eps
+          | None -> "")
+          ^
+          match !spanner_edges_ref with
+          | Some edges -> Printf.sprintf {|,"spanner_edges":%d|} edges
+          | None -> ""
+      in
+      Printf.sprintf
+        {|{"kind":%s,"algo":%s,"n":%d,"arq":%d%s,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
+        (Obs.Jsonl.quote kind) (Obs.Jsonl.quote protocol) (Graph.n g)
+        (if Distnet.Fault.is_none faults then 0 else 1)
+        plan stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
+        stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words
+    in
+    (match metrics_file with
+    | Some file ->
+        Obs.Metrics.save ~extra:[ header "meta" ] reg file;
         Format.printf "metrics written to %s (%d samples)@." file
           (List.length (Obs.Metrics.snapshot reg))
     | None -> ());
     (match spans_file with
     | Some file ->
-        let meta =
-          Printf.sprintf
-            {|{"kind":"span_meta","algo":"%s","n":%d,"arq":%d,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
-            protocol (Graph.n g)
-            (if Distnet.Fault.is_none faults then 0 else 1)
-            stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
-            stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words
-        in
-        Obs.Span.save ~extra:[ meta ] spans file;
+        Obs.Span.save ~extra:[ header "span_meta" ] spans file;
         Format.printf "spans written to %s (%d spans)@." file
           (Obs.Span.count spans)
     | None -> ());
     (match profile_file with
     | Some file ->
-        let meta =
-          Printf.sprintf
-            {|{"kind":"prof_meta","algo":"%s","n":%d,"arq":%d,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
-            protocol (Graph.n g)
-            (if Distnet.Fault.is_none faults then 0 else 1)
-            stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
-            stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words
-        in
-        Obs.Prof.save ~extra:[ meta ] prof file;
+        Obs.Prof.save ~extra:[ header "prof_meta" ] prof file;
         Format.printf "profile written to %s (%d rows, %d round samples)@."
           file
           (List.length (Obs.Prof.rows prof))
@@ -957,10 +937,10 @@ let simulate_cmd =
     Term.(
       const run $ kind_arg $ n_arg $ p_arg $ seed_arg $ input_arg $ drop $ dup
       $ delay $ max_delay $ crash $ restart $ crash_frac $ crash_max_round
-      $ edge_drop $ edge_up $ partition $ partition_round $ heal_round $ join
-      $ churn_trace $ phase_limit $ certify $ mutate $ trace_file
+      $ churn_term $ churn_trace $ phase_limit $ certify $ mutate $ trace_file
       $ replay_file $ metrics_file $ metrics_summary $ spans_file
-      $ profile_file $ audit_bounds $ strict $ protocol $ root $ arq_backoff)
+      $ profile_file $ audit_bounds $ strict $ protocol $ root
+      $ arq_backoff_term)
 
 (* ------------------------------------------------------------------ *)
 (* report *)
@@ -1027,51 +1007,30 @@ let report_cmd =
     | x :: tl when k > 0 -> x :: take (k - 1) tl
     | _ -> []
   in
-  (* Auto-detect: metrics files start with a {"kind":"meta"|"metric"}
-     line, spans files with {"kind":"span_meta"|"span"}; anything else
-     is treated as a trace. *)
+  (* Auto-detect from the first line's kind tag: metrics files open
+     with meta/metric, spans files with span_meta/span, profiles with
+     prof_meta/prof/prof_round; anything else is a trace. *)
   let file_kind file =
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go () =
-          match input_line ic with
-          | exception End_of_file -> `Empty
-          | line when String.trim line = "" -> go ()
-          | line -> (
-              match Obs.Metrics.json_str line "kind" with
-              | Some "metric" | Some "meta" -> `Metrics
-              | Some "span" | Some "span_meta" -> `Spans
-              | Some "prof" | Some "prof_round" | Some "prof_meta" -> `Profile
-              | _ -> `Trace)
-        in
-        go ())
+    match Obs.Jsonl.find_line file (fun _ -> true) with
+    | None -> `Empty
+    | Some (("metric" | "meta"), _) -> `Metrics
+    | Some (("span" | "span_meta"), _) -> `Spans
+    | Some (("prof" | "prof_round" | "prof_meta"), _) -> `Profile
+    | Some _ -> `Trace
   in
   let read_meta_kind kind file =
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let meta = ref None in
-        (try
-           while true do
-             let line = input_line ic in
-             if
-               !meta = None
-               && Obs.Metrics.json_str line "kind" = Some kind
-             then meta := Some line
-           done
-         with End_of_file -> ());
-        !meta)
+    Option.map snd (Obs.Jsonl.find_line file (String.equal kind))
   in
   let read_meta = read_meta_kind "meta" in
-  let pp_meta_line line =
-    let get f = Option.value ~default:0 (Obs.Metrics.json_int line f) in
+  let meta_int o f =
+    Option.value ~default:0 (Obs.Jsonl.opt o f Obs.Jsonl.int)
+  in
+  let pp_meta_line o =
+    let get = meta_int o in
     Format.printf
       "  run: algo=%s n=%d arq=%d rounds=%d messages=%d words=%d \
        max_message_words=%d@."
-      (Option.value ~default:"?" (Obs.Metrics.json_str line "algo"))
+      (Option.value ~default:"?" (Obs.Jsonl.opt o "algo" Obs.Jsonl.string))
       (get "n") (get "arq") (get "rounds") (get "messages") (get "words")
       (get "max_message_words")
   in
@@ -1233,17 +1192,15 @@ let report_cmd =
           Format.eprintf
             "spanner_cli: report --audit-bounds: %s has no meta header@." file;
           exit 1
-      | Some line -> (
+      | Some o -> (
           match
-            ( Obs.Metrics.json_int line "n",
-              Obs.Metrics.json_int line "d",
-              Obs.Metrics.json_float line "eps" )
+            ( Obs.Jsonl.opt o "n" Obs.Jsonl.int,
+              Obs.Jsonl.opt o "d" Obs.Jsonl.int,
+              Obs.Jsonl.opt o "eps" Obs.Jsonl.float )
           with
           | Some n, Some d, Some eps ->
               let plan = Spanner.Plan.make ~n ~d ~eps () in
-              let get f =
-                Option.value ~default:0 (Obs.Metrics.json_int line f)
-              in
+              let get = meta_int o in
               let stats =
                 {
                   Distnet.Sim.rounds = get "rounds";
@@ -1261,7 +1218,8 @@ let report_cmd =
               let report =
                 Spanner.Audit.run
                   ~arq:(get "arq" = 1)
-                  ?spanner_edges:(Obs.Metrics.json_int line "spanner_edges")
+                  ?spanner_edges:
+                    (Obs.Jsonl.opt o "spanner_edges" Obs.Jsonl.int)
                   ~phase_rounds ~plan ~stats ()
               in
               Format.printf "%a" Spanner.Audit.pp report;
@@ -1310,6 +1268,7 @@ let report_cmd =
     | None -> ()
   in
   let run files top audit_bounds strict critical_path perfetto profile_flag =
+    exit_on_parse_error @@ fun () ->
     let kinds =
       List.map
         (fun file ->
@@ -1354,45 +1313,36 @@ let report_cmd =
             file;
           exit 1
         end;
-        try
-          match kind with
-          | `Metrics -> report_metrics ~top ~audit_bounds ~strict file
-          | `Spans ->
-              if audit_bounds then begin
-                Format.eprintf
-                  "spanner_cli: report --audit-bounds needs a metrics file, \
-                   but %s is a spans file@."
-                  file;
-                exit 1
-              end;
-              report_spans ~top ~critical_path ~perfetto ~counters file
-          | `Profile ->
-              if audit_bounds then begin
-                Format.eprintf
-                  "spanner_cli: report --audit-bounds needs a metrics file, \
-                   but %s is a profile@."
-                  file;
-                exit 1
-              end;
-              if not merge_counters then report_profile ~top file
-          | `Trace ->
-              if audit_bounds then begin
-                Format.eprintf
-                  "spanner_cli: report --audit-bounds needs a metrics file, \
-                   but %s is a trace@."
-                  file;
-                exit 1
-              end;
-              report_trace ~top file
-          | `Empty -> Format.printf "%s: empty file@." file
-        with
-        (* a corrupt line is a user-facing error, not a crash *)
-        | Failure msg ->
-            Format.eprintf "spanner_cli: %s@." msg;
-            exit 1
-        | (Distnet.Trace.Parse_error _ | Obs.Prof.Parse_error _) as e ->
-            Format.eprintf "spanner_cli: %s@." (Printexc.to_string e);
-            exit 1)
+        match kind with
+        | `Metrics -> report_metrics ~top ~audit_bounds ~strict file
+        | `Spans ->
+            if audit_bounds then begin
+              Format.eprintf
+                "spanner_cli: report --audit-bounds needs a metrics file, \
+                 but %s is a spans file@."
+                file;
+              exit 1
+            end;
+            report_spans ~top ~critical_path ~perfetto ~counters file
+        | `Profile ->
+            if audit_bounds then begin
+              Format.eprintf
+                "spanner_cli: report --audit-bounds needs a metrics file, \
+                 but %s is a profile@."
+                file;
+              exit 1
+            end;
+            if not merge_counters then report_profile ~top file
+        | `Trace ->
+            if audit_bounds then begin
+              Format.eprintf
+                "spanner_cli: report --audit-bounds needs a metrics file, \
+                 but %s is a trace@."
+                file;
+              exit 1
+            end;
+            report_trace ~top file
+        | `Empty -> Format.printf "%s: empty file@." file)
       kinds
   in
   Cmd.v
@@ -1486,53 +1436,6 @@ let serve_cmd =
             "Build compact-routing tables even for a pure distance workload \
              (they are built automatically when the workload has routes).")
   in
-  let edge_drop =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-drop" ] ~docv:"SPEC"
-          ~doc:
-            "Churn while serving: edges going down, e.g. 3-7@10,5-9@20.  Any \
-             churn flag switches serve into the swap flow: serve fresh, mark \
-             the snapshot stale, rebuild under the churn plan in the \
-             background, publish the next generation atomically, keep \
-             serving.")
-  in
-  let edge_up =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-up" ] ~docv:"SPEC"
-          ~doc:"Churn: edges coming (back) up, same U-V@ROUND syntax.")
-  in
-  let partition =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "partition" ] ~docv:"LINKS"
-          ~doc:"Churn: cut all listed links at once, e.g. 3-7,5-9.")
-  in
-  let partition_round =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "partition-round" ] ~docv:"R"
-          ~doc:"Round at which the --partition cut happens.")
-  in
-  let heal_round =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "heal-round" ] ~docv:"R"
-          ~doc:"Heal the --partition at round R (0: never heals).")
-  in
-  let join =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "join" ] ~docv:"SPEC"
-          ~doc:"Churn: late node joins, e.g. 4@25.")
-  in
   let audit_samples =
     Arg.(
       value
@@ -1560,30 +1463,7 @@ let serve_cmd =
   in
   let run kind n p seed input d eps k queries zipf route_frac workload_in
       workload_out workload_seed snapshot_in snapshot_out routing_flag
-      edge_drop edge_up partition partition_round heal_round join
-      audit_samples metrics_file metrics_summary =
-    let churn =
-      List.map
-        (fun (r, u, v) -> Distnet.Fault.Edge_down { round = r; u; v })
-        (parse_edge_events "edge-drop" edge_drop)
-      @ List.map
-          (fun (r, u, v) -> Distnet.Fault.Edge_up { round = r; u; v })
-          (parse_edge_events "edge-up" edge_up)
-      @ (match parse_links partition with
-        | [] -> []
-        | links ->
-            [
-              Distnet.Fault.Partition
-                {
-                  round = partition_round;
-                  edges = links;
-                  heal = (if heal_round > 0 then Some heal_round else None);
-                };
-            ])
-      @ List.map
-          (fun (v, r) -> Distnet.Fault.Join { round = r; node = v })
-          (parse_crashes join)
-    in
+      churn audit_samples metrics_file metrics_summary =
     let reg =
       if metrics_file <> None || metrics_summary then Obs.Metrics.create ()
       else Obs.Metrics.disabled
@@ -1755,8 +1635,8 @@ let serve_cmd =
       const run $ kind_arg $ n_arg $ p_arg $ seed_arg $ input_arg $ d_arg
       $ eps_arg $ oracle_k_arg $ queries $ zipf $ route_frac $ workload_in
       $ workload_out $ workload_seed $ snapshot_in_arg $ snapshot_out
-      $ routing_flag $ edge_drop $ edge_up $ partition $ partition_round
-      $ heal_round $ join $ audit_samples $ metrics_file $ metrics_summary)
+      $ routing_flag $ churn_term $ audit_samples $ metrics_file
+      $ metrics_summary)
 
 let query_cmd =
   let snapshot_in =
@@ -1908,13 +1788,6 @@ let sweep_cmd =
       & info [ "shrink-evals" ] ~docv:"N"
           ~doc:"Candidate-run budget per shrink.")
   in
-  let arq_backoff =
-    Arg.(
-      value
-      & opt float Distnet.Reliable.default_config.Distnet.Reliable.backoff
-      & info [ "arq-backoff" ] ~docv:"F"
-          ~doc:"ARQ retransmit-timer growth factor, as in simulate.")
-  in
   let pp_outcome ppf (r : Scenario.Sweep.report) =
     match r.Scenario.Sweep.outcome with
     | Scenario.Sweep.Certified o ->
@@ -1923,11 +1796,7 @@ let sweep_cmd =
         Format.fprintf ppf "FAIL (%s)" (Scenario.Sweep.failure_tag f)
   in
   let run specs samples out_dir json_file metrics_file replay profile_file
-      shrink_evals arq_backoff =
-    if arq_backoff <> Distnet.Reliable.default_config.Distnet.Reliable.backoff
-    then
-      Distnet.Reliable.set_config
-        { Distnet.Reliable.default_config with backoff = arq_backoff };
+      shrink_evals () =
     match replay with
     | Some file -> (
         match Scenario.Compile.load file with
@@ -2021,10 +1890,8 @@ let sweep_cmd =
         (match json_file with
         | None -> ()
         | Some file ->
-            Out_channel.with_open_text file (fun oc ->
-                List.iter
-                  (fun l -> Out_channel.output_string oc (l ^ "\n"))
-                  (List.rev !json_lines));
+            Obs.Jsonl.save file (fun out ->
+                List.iter out (List.rev !json_lines));
             Format.printf "report written to %s@." file);
         (match metrics_file with
         | None -> ()
@@ -2036,9 +1903,9 @@ let sweep_cmd =
         | None -> ()
         | Some file ->
             let meta =
-              Printf.sprintf
-                {|{"kind":"prof_meta","algo":"sweep:%s","samples":%d}|}
-                (String.concat "," names) samples
+              Printf.sprintf {|{"kind":"prof_meta","algo":%s,"samples":%d}|}
+                (Obs.Jsonl.quote ("sweep:" ^ String.concat "," names))
+                samples
             in
             Obs.Prof.save ~extra:[ meta ] prof file;
             Format.printf "profile written to %s (%d rows, %d round samples)@."
@@ -2062,7 +1929,7 @@ let sweep_cmd =
           replayable plan file.")
     Term.(
       const run $ specs $ samples $ out_dir $ json_file $ metrics_file
-      $ replay $ profile_file $ shrink_evals $ arq_backoff)
+      $ replay $ profile_file $ shrink_evals $ arq_backoff_term)
 
 (* ------------------------------------------------------------------ *)
 (* experiment *)

@@ -26,11 +26,12 @@ let event (s : Span.record) =
   let stop = if s.stop_round >= 0 then s.stop_round else s.start_round in
   Buffer.add_string b
     (Printf.sprintf
-       {|{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%S,"cat":%S|}
+       {|{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%s,"cat":%s|}
        (pid_of s) (tid_of s)
        (s.start_round * us_per_round)
        ((stop - s.start_round) * us_per_round)
-       (name_of s) (Span.kind_name s.kind));
+       (Jsonl.quote (name_of s))
+       (Jsonl.quote (Span.kind_name s.kind)));
   Buffer.add_string b (Printf.sprintf {|,"args":{"span_id":%d|} s.id);
   if s.words > 0 then Buffer.add_string b (Printf.sprintf {|,"words":%d|} s.words);
   if s.parent >= 0 then
@@ -41,14 +42,15 @@ let event (s : Span.record) =
   | Span.Delivered -> ()
   | Span.Open -> Buffer.add_string b {|,"status":"open"|}
   | Span.Dropped reason ->
-      Buffer.add_string b (Printf.sprintf {|,"status":"dropped","reason":%S|} reason));
+      Buffer.add_string b
+        (Printf.sprintf {|,"status":"dropped","reason":%s|} (Jsonl.quote reason)));
   Buffer.add_string b "}}";
   Buffer.contents b
 
 let process_name pid name =
   Printf.sprintf
-    {|{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%S}}|}
-    pid name
+    {|{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}|}
+    pid (Jsonl.quote name)
 
 (* GC counter tracks live in their own process so Perfetto renders
    them as graphs under the span timeline: heap size is an absolute
@@ -57,8 +59,8 @@ let counters_pid = 4
 
 let counter_event ~ts name value =
   Printf.sprintf
-    {|{"ph":"C","pid":%d,"tid":0,"ts":%d,"name":%S,"args":{"value":%d}}|}
-    counters_pid ts name value
+    {|{"ph":"C","pid":%d,"tid":0,"ts":%d,"name":%s,"args":{"value":%d}}|}
+    counters_pid ts (Jsonl.quote name) value
 
 let export ?(counters = []) records file =
   let tracks =

@@ -160,9 +160,10 @@ let records = function
 let to_json s =
   let b = Buffer.create 160 in
   Buffer.add_string b
-    (Printf.sprintf {|{"kind":"span","id":%d,"sk":"%s"|} s.id
-       (kind_name s.kind));
-  if s.name <> "" then Buffer.add_string b (Printf.sprintf {|,"name":%S|} s.name);
+    (Printf.sprintf {|{"kind":"span","id":%d,"sk":%s|} s.id
+       (Jsonl.quote (kind_name s.kind)));
+  if s.name <> "" then
+    Buffer.add_string b (Printf.sprintf {|,"name":%s|} (Jsonl.quote s.name));
   if s.parent >= 0 then
     Buffer.add_string b (Printf.sprintf {|,"parent":%d|} s.parent);
   Buffer.add_string b
@@ -175,97 +176,59 @@ let to_json s =
   | Delivered -> Buffer.add_string b {|,"status":"delivered"|}
   | Dropped reason ->
       Buffer.add_string b
-        (Printf.sprintf {|,"status":"dropped","reason":%S|} reason));
+        (Printf.sprintf {|,"status":"dropped","reason":%s|}
+           (Jsonl.quote reason)));
   Buffer.add_char b '}';
   Buffer.contents b
 
 let save ?(extra = []) t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        extra;
+  Jsonl.save file (fun out ->
+      List.iter out extra;
       match t with
       | Disabled -> ()
       | Reg r ->
           for i = 0 to r.len - 1 do
-            output_string oc (to_json r.arr.(i));
-            output_char oc '\n'
+            out (to_json r.arr.(i))
           done)
 
 let iter_file file f =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lineno = ref 0 in
-      let fail msg line =
-        failwith
-          (Printf.sprintf "Span.load: %s: line %d: %s: %s" file !lineno msg
-             line)
-      in
-      let req msg = function Some v -> v | None -> raise (Failure msg) in
-      try
-        while true do
-          let raw = input_line ic in
-          incr lineno;
-          let line =
-            let n = String.length raw in
-            if n > 0 && raw.[n - 1] = '\r' then String.sub raw 0 (n - 1)
-            else raw
-          in
-          if String.trim line <> "" then
-            match Metrics.json_str line "kind" with
-            | Some "span" -> (
-                try
-                  let int k =
-                    req (Printf.sprintf "missing field %S" k)
-                      (Metrics.json_int line k)
-                  in
-                  let kind =
-                    match Metrics.json_str line "sk" with
-                    | Some n -> (
-                        match kind_of_name n with
-                        | Some k -> k
-                        | None ->
-                            raise
-                              (Failure (Printf.sprintf "unknown span kind %S" n)))
-                    | None -> raise (Failure {|missing field "sk"|})
-                  in
-                  let name =
-                    Option.value ~default:"" (Metrics.json_str line "name")
-                  in
-                  let parent =
-                    Option.value ~default:(-1) (Metrics.json_int line "parent")
-                  in
-                  let ls = Option.value ~default:0 (Metrics.json_int line "ls") in
-                  let ld = Option.value ~default:0 (Metrics.json_int line "ld") in
-                  let status =
-                    match Metrics.json_str line "status" with
-                    | Some "open" -> Open
-                    | Some "delivered" -> Delivered
-                    | Some "dropped" ->
-                        Dropped
-                          (Option.value ~default:""
-                             (Metrics.json_str line "reason"))
-                    | Some s ->
-                        raise (Failure (Printf.sprintf "unknown status %S" s))
-                    | None -> raise (Failure {|missing field "status"|})
-                  in
-                  f
-                    { id = int "id"; kind; name; parent; src = int "src";
-                      dst = int "dst"; words = int "words";
-                      start_round = int "start"; stop_round = int "stop";
-                      ls; ld; status }
-                with Failure msg -> fail msg line)
-            | Some _ -> ()  (* meta header or foreign line: skip *)
-            | None -> fail {|missing field "kind"|} line
-        done
-      with End_of_file -> ())
+  Jsonl.iter_file file (fun kind o ->
+      if kind = "span" then begin
+        let int k = Jsonl.req o k Jsonl.int in
+        let int_or k default =
+          Option.value ~default (Jsonl.opt o k Jsonl.int)
+        in
+        let kind =
+          let n = Jsonl.req o "sk" Jsonl.string in
+          match kind_of_name n with
+          | Some k -> k
+          | None -> Jsonl.fail o (Printf.sprintf "unknown span kind %S" n)
+        in
+        let status =
+          match Jsonl.req o "status" Jsonl.string with
+          | "open" -> Open
+          | "delivered" -> Delivered
+          | "dropped" ->
+              Dropped
+                (Option.value ~default:"" (Jsonl.opt o "reason" Jsonl.string))
+          | other -> Jsonl.fail o (Printf.sprintf "unknown status %S" other)
+        in
+        f
+          {
+            id = int "id";
+            kind;
+            name = Option.value ~default:"" (Jsonl.opt o "name" Jsonl.string);
+            parent = int_or "parent" (-1);
+            src = int "src";
+            dst = int "dst";
+            words = int "words";
+            start_round = int "start";
+            stop_round = int "stop";
+            ls = int_or "ls" 0;
+            ld = int_or "ld" 0;
+            status;
+          }
+      end)
 
 let load file =
   let acc = ref [] in

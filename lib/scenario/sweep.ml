@@ -298,9 +298,9 @@ let to_json a =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf
-       {|{"kind":"sweep","scenario":"%s","samples":%d,"intact":%d,"patched":%d,"degraded":%d,"partitioned":%d,"failed":%d|}
-       a.scenario a.samples a.intact a.patched a.degraded a.partitioned
-       (failed a));
+       {|{"kind":"sweep","scenario":%s,"samples":%d,"intact":%d,"patched":%d,"degraded":%d,"partitioned":%d,"failed":%d|}
+       (Obs.Jsonl.quote a.scenario)
+       a.samples a.intact a.patched a.degraded a.partitioned (failed a));
   Buffer.add_string b
     (Printf.sprintf
        {|,"worst_rounds":%d,"worst_words":%d,"worst_size":%d,"worst_stretch":%g,"stretch_bound":%g|}
@@ -315,8 +315,8 @@ let to_json a =
           match r.outcome with Failed f -> failure_tag f | Certified _ -> "?"
         in
         Buffer.add_string b
-          (Printf.sprintf {|{"sample":%d,"reason":"%s","rounds":%d}|}
-             r.plan.Compile.sample reason r.rounds))
+          (Printf.sprintf {|{"sample":%d,"reason":%s,"rounds":%d}|}
+             r.plan.Compile.sample (Obs.Jsonl.quote reason) r.rounds))
       a.failures;
     Buffer.add_char b ']'
   end;

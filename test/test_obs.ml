@@ -128,11 +128,20 @@ let test_save_load_roundtrip () =
   M.set (M.gauge r "peak") 9;
   let h = M.histogram r "lat" in
   List.iter (M.observe h) [ 1; 2; 300 ];
+  (* names and labels a substring scanner misreads *)
+  M.incr (M.counter r ~labels:[ ("value", "a,b:c") ] {|say"hi|});
+  M.set (M.gauge r ~labels:[ ("kind", "caf\xc3\xa9") ] "caf\xc3\xa9") 4;
   let file = Filename.temp_file "obs" ".jsonl" in
   M.save ~extra:[ {|{"kind":"meta","n":48}|} ] r file;
   let loaded = M.load file in
   Sys.remove file;
-  checki "meta line skipped, 3 samples" 3 (List.length loaded);
+  checki "meta line skipped, 5 samples" 5 (List.length loaded);
+  (match M.find loaded ~labels:[ ("value", "a,b:c") ] {|say"hi|} with
+  | Some { M.value = M.Counter 1; _ } -> ()
+  | _ -> Alcotest.fail "quoted name, comma/colon label roundtrip");
+  (match M.find loaded ~labels:[ ("kind", "caf\xc3\xa9") ] "caf\xc3\xa9" with
+  | Some { M.value = M.Gauge 4; _ } -> ()
+  | _ -> Alcotest.fail "UTF-8 roundtrip");
   (match M.find loaded ~labels:[ ("phase", "wave") ] "phase_rounds" with
   | Some { M.value = M.Counter 17; _ } -> ()
   | _ -> Alcotest.fail "counter roundtrip");

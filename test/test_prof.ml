@@ -148,7 +148,7 @@ let expect_parse_error ~line content k =
   output_string oc content;
   close_out oc;
   (match P.load file with
-  | exception P.Parse_error e ->
+  | exception Obs.Jsonl.Parse_error e ->
       checks "file named" file e.file;
       checki (k ^ ": line") line e.line
   | _ -> Alcotest.fail (k ^ ": expected Parse_error"));
@@ -166,7 +166,21 @@ let test_parse_errors () =
   expect_parse_error ~line:1 "not json at all\n" "garbage";
   (* Truncated round sample. *)
   expect_parse_error ~line:1 "{\"kind\":\"prof_round\",\"round\":3}\n"
-    "truncated round"
+    "truncated round";
+  (* Every truncation, overflowing number and garbage variant of the
+     lines a real profile writes. *)
+  let t = P.create () in
+  P.region t "r" (fun () -> churn 10);
+  P.round_mark t ~round:1;
+  let file = tmp "prof_lines.jsonl" in
+  P.save ~extra:[ {|{"kind":"prof_meta","algo":"test"}|} ] t file;
+  let lines = Test_jsonl.read_lines file in
+  Sys.remove file;
+  List.iter
+    (Test_jsonl.expect_located_errors
+       ~load:(fun f -> ignore (P.load f))
+       ~good:[ List.hd lines ])
+    (List.tl lines)
 
 (* ------------------------------------------------------------------ *)
 (* Joining the metrics phase table *)

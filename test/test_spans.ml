@@ -132,13 +132,18 @@ let test_malformed_file () =
   output_string oc "\n";
   close_out oc;
   (match S.load file with
-  | exception Failure msg ->
+  | exception Obs.Jsonl.Parse_error e ->
       (* the error names the exact spot: file and 1-based line *)
-      checkb "names the file" true
-        (contains_sub msg (Filename.basename file));
-      checkb "names line 3" true (contains_sub msg "line 3")
-  | _ -> Alcotest.fail "expected Failure on truncated span line");
-  Sys.remove file
+      checks "names the file" file e.file;
+      checki "names line 3" 3 e.line;
+      checkb "quotes the line" true (contains_sub e.msg {|"sk":"mess|})
+  | _ -> Alcotest.fail "expected Parse_error on truncated span line");
+  Sys.remove file;
+  (* every truncation, overflowing number and garbage line is located *)
+  Test_jsonl.expect_located_errors
+    ~load:(fun f -> ignore (S.load f))
+    ~good:[ {|{"kind":"span_meta","n":3}|} ]
+    {|{"kind":"span","id":1,"sk":"call","name":"call-0","parent":0,"src":-1,"dst":-1,"words":0,"start":0,"stop":4,"ls":1,"ld":2,"status":"dropped","reason":"dst-crashed"}|}
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path extraction *)
@@ -239,13 +244,24 @@ let test_perfetto_export () =
   let t = S.create () in
   ignore (msg t ~s:0 ~d:1 ~send:0 ~dlvr:1);
   ignore (S.span t S.Phase ~name:"exchange" ~start_round:0 ~stop_round:1);
+  ignore (S.span t S.Call ~name:{|cafÃ© "q"|} ~start_round:1 ~stop_round:2);
   let file = Filename.temp_file "perfetto" ".json" in
   let n = Obs.Perfetto.export (S.records t) file in
   let ic = open_in file in
   let len = in_channel_length ic in
   let content = really_input_string ic len in
   close_in ic;
+  (* valid JSON: the export parses back with the UTF-8 name intact *)
+  let names =
+    match Obs.Jsonl.parse_file file with
+    | Obs.Jsonl.Object o ->
+        List.filter_map
+          (fun e -> Obs.Jsonl.opt e "name" Obs.Jsonl.string)
+          (Obs.Jsonl.req o "traceEvents" Obs.Jsonl.(list obj))
+    | _ -> []
+  in
   Sys.remove file;
+  checkb "quoted UTF-8 name survives" true (List.mem {|cafÃ© "q"|} names);
   checkb "span + phase + metadata events" true (n >= 3);
   checkb "chrome trace envelope" true
     (String.length content > 16
