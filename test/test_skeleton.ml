@@ -520,6 +520,74 @@ let test_dist_crash_recovery_certifies () =
   in
   checkb "certifier accepts the recovered output" true (Certify.ok v)
 
+(* One-sided false suspicion.  ARQ abandons a live peer when every try
+   loses either the data or the ack, and only the abandoning side writes
+   the peer off.  Without the [Cut] answer to a [Probe] the other side
+   waited forever and the phase raised [Stuck]. *)
+let certifies (r : Skeleton_dist.result) g =
+  Certify.ok
+    (Certify.run ~plan:r.Skeleton_dist.plan ~witness:r.Skeleton_dist.witness g
+       r.Skeleton_dist.spanner)
+
+let build_or_fail ~faults ~seed g =
+  match Skeleton_dist.build ~faults ~seed g with
+  | r -> r
+  | exception (Skeleton_dist.Stuck _ as e) -> Alcotest.fail (Printexc.to_string e)
+
+let test_false_suspicion_n300 () =
+  (* Used to wedge in the exchange at round 689, node 17 waiting on 33. *)
+  let g =
+    Gen.connected_gnp
+      (Util.Prng.split (Util.Prng.create ~seed:8466945))
+      ~n:300 ~p:(12.5 /. 299.)
+  in
+  let faults =
+    Fault.make ~seed:750915233 ~graph:g
+      { Fault.default_spec with Fault.drop = 0.2 }
+  in
+  let r = build_or_fail ~faults ~seed:646480911 g in
+  checkb "certifies" true (certifies r g)
+
+let test_false_suspicion_crash_recovery () =
+  (* The inputs of instance seed 209853926 of the crash-recovery
+     pipeline workload: n = 1000, drop 0.2, three crash-stops.  Used to
+     wedge in an exchange, node 837 waiting on 386. *)
+  let rng = Util.Prng.create ~seed:209853926 in
+  let n = 1000 in
+  let g =
+    Gen.connected_gnp (Util.Prng.split rng) ~n ~p:(12.5 /. float_of_int (n - 1))
+  in
+  let fault_seed = Util.Prng.int rng 1_000_000_000 in
+  let crashed = Util.Prng.sample_without_replacement rng ~k:3 ~n in
+  Util.Prng.shuffle rng crashed;
+  let faults =
+    Fault.make ~seed:fault_seed ~graph:g
+      {
+        Fault.default_spec with
+        Fault.drop = 0.2;
+        crashes = List.mapi (fun i r -> (crashed.(i), r)) [ 40; 120; 300 ];
+      }
+  in
+  let _query_seed = Util.Prng.int rng 1_000_000_000 in
+  let r = build_or_fail ~faults ~seed:(Util.Prng.int rng 1_000_000_000) g in
+  checki "every crash registered" 3 r.Skeleton_dist.recovery.Skeleton_dist.crashed;
+  checkb "certifies" true (certifies r g)
+
+let test_lossy_builds_never_wedge () =
+  (* 30 seeded n = 300, drop-0.2 builds: none raises [Stuck], all
+     certify.  About 3% of such builds wedged before [Cut]. *)
+  let master = Util.Prng.create ~seed:14 in
+  for _ = 1 to 30 do
+    let rng = Util.Prng.create ~seed:(Util.Prng.int master 1_000_000_000) in
+    let g = Gen.connected_gnp (Util.Prng.split rng) ~n:300 ~p:(12.5 /. 299.) in
+    let faults =
+      Fault.make ~seed:(Util.Prng.int rng 1_000_000_000) ~graph:g
+        { Fault.default_spec with Fault.drop = 0.2 }
+    in
+    let r = build_or_fail ~faults ~seed:(Util.Prng.int rng 1_000_000_000) g in
+    checkb "certifies" true (certifies r g)
+  done
+
 let remove_one_hook_edge (w : Certify.witness) g spanner =
   (* The first live vertex's cluster-tree edge, dropped from the set. *)
   let victim = ref (-1) in
@@ -807,6 +875,12 @@ let suite =
           test_dist_lossy_equals_sequential;
         Alcotest.test_case "crash recovery certifies" `Quick
           test_dist_crash_recovery_certifies;
+        Alcotest.test_case "false suspicion: n=300 reproducer" `Quick
+          test_false_suspicion_n300;
+        Alcotest.test_case "false suspicion: crash-recovery reproducer" `Quick
+          test_false_suspicion_crash_recovery;
+        Alcotest.test_case "30 lossy builds never wedge" `Quick
+          test_lossy_builds_never_wedge;
         QCheck_alcotest.to_alcotest prop_certifier_accepts;
         QCheck_alcotest.to_alcotest prop_certifier_rejects_mutation;
       ] );
