@@ -452,6 +452,7 @@ module type ACTIVE_PROTOCOL = sig
   include PROTOCOL
 
   val active : state -> bool
+  val resume : state -> round:int -> state
 end
 
 module Run_active (P : ACTIVE_PROTOCOL) = struct
@@ -475,6 +476,7 @@ module Run_active (P : ACTIVE_PROTOCOL) = struct
     in
     (* Late joiners are initialized when their join round arrives. *)
     let pending_joins = ref (Fault.join_schedule faults) in
+    let pending_restarts = ref (Fault.restart_schedule faults) in
     for v = 0 to n - 1 do
       if Fault.joined faults ~round:0 v then begin
         let st, msgs = P.init g v in
@@ -518,12 +520,22 @@ module Run_active (P : ACTIVE_PROTOCOL) = struct
       let rec join = function
         | (r, v) :: rest when r <= !round ->
             let st, msgs = P.init g v in
-            states.(v) <- Some st;
+            states.(v) <- Some (P.resume st ~round:!round);
             if not (Fault.crashed faults ~round:!round v) then post v msgs;
             join rest
         | rest -> pending_joins := rest
       in
       join !pending_joins;
+      (* A restarted node picks up its frozen state where it left off. *)
+      let rec restart = function
+        | (r, v) :: rest when r <= !round ->
+            Option.iter
+              (fun st -> states.(v) <- Some (P.resume st ~round:!round))
+              states.(v);
+            restart rest
+        | rest -> pending_restarts := rest
+      in
+      restart !pending_restarts;
       for v = 0 to n - 1 do
         if
           states.(v) <> None
@@ -551,4 +563,5 @@ module Run (P : PROTOCOL) = Run_active (struct
   include P
 
   let active _ = false
+  let resume st ~round:_ = st
 end)

@@ -187,6 +187,13 @@ module type ACTIVE_PROTOCOL = sig
   (** Does this node still have work pending (timers armed, messages
       unacknowledged)?  The run ends when the network is quiescent and
       no live node is active. *)
+
+  val resume : state -> round:int -> state
+  (** [resume st ~round] is called before a node's first [receive] at
+      [round] when the rounds since its last [receive] (or its [init],
+      which counts as round 0) did not happen for it: it joined late,
+      or it was crashed and restarts now.  Timers must not count those
+      rounds — a crashed node's timers stay frozen until its restart. *)
 end
 
 module Run_active (P : ACTIVE_PROTOCOL) : sig
@@ -202,10 +209,11 @@ module Run_active (P : ACTIVE_PROTOCOL) : sig
       crashes at round [r] executes no [receive] from round [r]
       on: its state is frozen as of round [r - 1].  If the plan
       restarts it at round [r'], it resumes [receive] from [r'] with
-      that frozen state (protocols needing amnesia reset themselves);
-      the run is kept alive until every scheduled restart has landed.
-      A node with join round [r] is initialized at round [r] (its
-      [init] sends go out that round); under churn the node programs
+      that frozen state, passed through [resume] first (protocols
+      needing amnesia reset themselves); the run is kept alive until
+      every scheduled restart has landed.  A node with join round [r]
+      is initialized and resumed at round [r] (its [init] sends go out
+      that round); under churn the node programs
       stay oblivious — a send over a down link is simply discarded,
       i.e. looks like loss.  A node whose join round never arrives ends
       in its initial state.

@@ -66,3 +66,10 @@ let pop_min t =
       t.vals.(t.len) <- None;
       sift_down t 0;
       r
+
+let exists t f =
+  let rec go i =
+    i < t.len
+    && ((match t.vals.(i) with Some v -> f v | None -> false) || go (i + 1))
+  in
+  go 0

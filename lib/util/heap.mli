@@ -1,5 +1,6 @@
 (** Minimal binary min-heap keyed by integers.  Sufficient for the
-    Dijkstra-style traversals in the graph substrate. *)
+    Dijkstra-style traversals in the graph substrate and for the ARQ
+    pump's retransmit-timer queue. *)
 
 type 'a t
 
@@ -12,3 +13,6 @@ val pop_min : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest key. *)
 
 val peek_min : 'a t -> (int * 'a) option
+
+val exists : 'a t -> ('a -> bool) -> bool
+(** Does any entry's value satisfy the predicate?  Linear in the size. *)
