@@ -11,7 +11,8 @@
            --seed N        change the experiment seed (default 1)
            --only Ei       run a single table
            --baseline F    compare timings against a saved --json file
-                           (or a repo BENCH_*.json); exit 1 on regression
+                           (or a repo BENCH_*.json); exit 1 on regression,
+                           or on minor words more than 1% over the baseline
            --tolerance X   relative slowdown allowed before a bench counts
                            as regressed (default 0.25 = 25%)
            --profile       attach the Obs.Prof sink per bench and print each
@@ -222,8 +223,15 @@ let read_timings file =
     | _ -> shape ()
   in
   List.map
-    (fun o -> (J.req o "name" J.string, J.opt o "ns_per_run" J.float))
+    (fun o ->
+      ( J.req o "name" J.string,
+        (J.opt o "ns_per_run" J.float, J.opt o "minor_words" J.int) ))
     entries
+
+(* Minor words are exact per run (dev-profile counts repeat run to
+   run), so allocation gets a tight fixed gate: a bench allocating more
+   than 1% over its baseline regresses whatever the timing tolerance. *)
+let words_tolerance = 0.01
 
 let compare_baseline ~file timings =
   (* Under --json the comparison goes to stderr so stdout stays valid
@@ -234,38 +242,46 @@ let compare_baseline ~file timings =
     Printf.eprintf "bench: no timings found in baseline %s\n" file;
     exit 2
   end;
-  Format.fprintf ppf "@.== baseline comparison vs %s (tolerance +%.0f%%)@." file
-    (100. *. !tolerance);
-  Format.fprintf ppf "  %-30s %12s %12s %9s@." "bench" "baseline" "current"
-    "delta";
+  Format.fprintf ppf
+    "@.== baseline comparison vs %s (tolerance +%.0f%%, minor words +%.0f%%)@."
+    file (100. *. !tolerance) (100. *. words_tolerance);
+  Format.fprintf ppf "  %-30s %12s %12s %9s %9s@." "bench" "baseline" "current"
+    "delta" "words";
   let regressed = ref 0 and compared = ref 0 in
   List.iter
-    (fun (name, cur) ->
-      match (List.assoc_opt name base, cur) with
-      | (None | Some None), _ -> ()
-      | Some (Some b), None ->
-          Format.fprintf ppf "  %-30s %12.0f %12s %9s@." name b "-" "-"
-      | Some (Some b), Some c ->
+    (fun (name, (cur, cur_words)) ->
+      match List.assoc_opt name base with
+      | None | Some (None, _) -> ()
+      | Some (Some b, base_words) ->
           incr compared;
-          let delta = (c -. b) /. b in
-          let flag =
-            if delta > !tolerance then begin
-              incr regressed;
-              "  REGRESSED"
-            end
-            else ""
+          let delta = Option.map (fun c -> (c -. b) /. b) cur in
+          let words_delta =
+            match base_words with
+            | Some bw when bw > 0 ->
+                Some (float_of_int (cur_words - bw) /. float_of_int bw)
+            | _ -> None
           in
-          Format.fprintf ppf "  %-30s %12.0f %12.0f %+8.1f%%%s@." name b c
-            (100. *. delta) flag)
+          let over tol = function Some d -> d > tol | None -> false in
+          let bad = over !tolerance delta || over words_tolerance words_delta in
+          if bad then incr regressed;
+          let pct = function
+            | Some d -> Printf.sprintf "%+8.1f%%" (100. *. d)
+            | None -> "-"
+          in
+          Format.fprintf ppf "  %-30s %12.0f %12s %9s %9s%s@." name b
+            (match cur with Some c -> Printf.sprintf "%.0f" c | None -> "-")
+            (pct delta) (pct words_delta)
+            (if bad then "  REGRESSED" else ""))
     timings;
   if !compared = 0 then begin
     Format.fprintf ppf "  no bench in this run has a baseline entry@.";
     exit 2
   end;
   if !regressed > 0 then begin
-    Format.fprintf ppf "  %d of %d bench(es) regressed beyond +%.0f%%@."
-      !regressed !compared
-      (100. *. !tolerance);
+    Format.fprintf ppf
+      "  %d of %d bench(es) regressed beyond +%.0f%% time or +%.0f%% minor \
+       words@."
+      !regressed !compared (100. *. !tolerance) (100. *. words_tolerance);
     exit 1
   end
   else Format.fprintf ppf "  no regressions (%d bench(es) compared)@." !compared
@@ -404,7 +420,7 @@ let run_benches () =
          timings
      end
    end);
-  List.map (fun (name, est, _, _) -> (name, est)) timings
+  List.map (fun (name, est, (minor, _, _), _) -> (name, (est, minor))) timings
 
 (* ------------------------------------------------------------------ *)
 (* bench history: the per-bench perf trajectory over every checked-in
@@ -478,7 +494,7 @@ let history args =
       List.iter
         (fun (_, entries) ->
           match List.assoc_opt name entries with
-          | Some (Some v) ->
+          | Some (Some v, _) ->
               prev := !last;
               last := Some v;
               Format.printf " %12.0f" v

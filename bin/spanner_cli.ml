@@ -4,7 +4,6 @@
 
 open Cmdliner
 module Graph = Graphlib.Graph
-module Gen = Graphlib.Gen
 module Edge_set = Graphlib.Edge_set
 module Metrics = Graphlib.Metrics
 
@@ -14,24 +13,7 @@ module Metrics = Graphlib.Metrics
 let load_graph ~kind ~n ~p ~seed ~input =
   match input with
   | Some path -> Graphlib.Io.read path
-  | None -> (
-      let rng = Util.Prng.create ~seed in
-      match kind with
-      | "gnp" -> Gen.connected_gnp rng ~n ~p
-      | "gnp-raw" -> Gen.gnp rng ~n ~p
-      | "torus" ->
-          let side = int_of_float (Float.round (sqrt (float_of_int n))) in
-          Gen.torus ~width:side ~height:side
-      | "king" ->
-          let side = int_of_float (Float.round (sqrt (float_of_int n))) in
-          Gen.king_torus ~width:side ~height:side
-      | "hypercube" ->
-          let dims = int_of_float (Float.round (Util.Tower.log2 (float_of_int n))) in
-          Gen.hypercube ~dims
-      | "pa" -> Gen.ensure_connected rng (Gen.preferential_attachment rng ~n ~k:3)
-      | "path" -> Gen.path n
-      | "cycle" -> Gen.cycle n
-      | other -> failwith (Printf.sprintf "unknown graph kind %s" other))
+  | None -> Scenario.Compile.generate ~kind ~n ~p ~seed
 
 let kind_arg =
   Arg.(
@@ -288,13 +270,17 @@ let oracle_cmd =
 (* ------------------------------------------------------------------ *)
 (* Shared by simulate, serve, sweep and report *)
 
-(* A malformed input file is a user-facing error, not a crash: every
-   loader raises [Obs.Jsonl.Parse_error], reported here. *)
-let exit_on_parse_error f =
-  try f ()
-  with Obs.Jsonl.Parse_error _ as e ->
-    Format.eprintf "spanner_cli: %s@." (Printexc.to_string e);
+(* A malformed input file is a user-facing error, not a crash: the
+   JSON loaders raise [Obs.Jsonl.Parse_error], the snapshot and
+   workload loaders [Failure] naming the file and the fault. *)
+let exit_on_bad_input f =
+  let die msg =
+    Format.eprintf "spanner_cli: %s@." msg;
     exit 1
+  in
+  try f () with
+  | Obs.Jsonl.Parse_error _ as e -> die (Printexc.to_string e)
+  | Failure msg -> die msg
 
 (* Fault flags, shared by simulate and serve: NODE@ROUND, U-V@ROUND
    and U-V lists. *)
@@ -401,31 +387,6 @@ let churn_term =
   Term.(
     const churn $ edge_drop $ edge_up $ partition $ partition_round
     $ heal_round $ join)
-
-(* --arq-backoff installs the ARQ config as the command line is read. *)
-let arq_backoff_term =
-  let factor =
-    spec_conv "a factor >= 1"
-      (fun s ->
-        match float_of_string_opt s with
-        | Some f when f >= 1. -> Some f
-        | _ -> None)
-      Format.pp_print_float
-  in
-  let set backoff =
-    Distnet.Reliable.set_config
-      { Distnet.Reliable.default_config with backoff }
-  in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt factor Distnet.Reliable.default_config.Distnet.Reliable.backoff
-        & info [ "arq-backoff" ] ~docv:"F"
-            ~doc:
-              "ARQ retransmit-timer growth factor per timeout (1 = fixed \
-               interval; default 2 = classic doubling, byte-identical to \
-               historical behavior)."))
 
 (* ------------------------------------------------------------------ *)
 (* simulate: protocols over a faulty network, with trace/replay *)
@@ -610,14 +571,14 @@ let simulate_cmd =
   let run kind n p seed input drop dup delay max_delay crash restart
       crash_frac crash_max_round churn churn_trace phase_limit certify mutate
       trace_file replay_file metrics_file metrics_summary spans_file
-      profile_file audit_bounds strict protocol root () =
+      profile_file audit_bounds strict protocol root =
     let g = load_graph ~kind ~n ~p ~seed ~input in
     Format.printf "graph: %a@." Graph.pp_summary g;
     let faults, recorded =
       match replay_file with
       | Some file ->
           let events, stored =
-            exit_on_parse_error (fun () -> Distnet.Trace.load file)
+            exit_on_bad_input (fun () -> Distnet.Trace.load file)
           in
           Format.printf "replaying %d events from %s@." (List.length events)
             file;
@@ -658,7 +619,7 @@ let simulate_cmd =
             | None -> churn
             | Some file ->
                 let events, _ =
-                  exit_on_parse_error (fun () -> Distnet.Trace.load file)
+                  exit_on_bad_input (fun () -> Distnet.Trace.load file)
                 in
                 let traced = Distnet.Fault.churn_of_trace events in
                 Format.printf "churn plan: %d events from %s@."
@@ -939,8 +900,7 @@ let simulate_cmd =
       $ delay $ max_delay $ crash $ restart $ crash_frac $ crash_max_round
       $ churn_term $ churn_trace $ phase_limit $ certify $ mutate $ trace_file
       $ replay_file $ metrics_file $ metrics_summary $ spans_file
-      $ profile_file $ audit_bounds $ strict $ protocol $ root
-      $ arq_backoff_term)
+      $ profile_file $ audit_bounds $ strict $ protocol $ root)
 
 (* ------------------------------------------------------------------ *)
 (* report *)
@@ -1268,7 +1228,7 @@ let report_cmd =
     | None -> ()
   in
   let run files top audit_bounds strict critical_path perfetto profile_flag =
-    exit_on_parse_error @@ fun () ->
+    exit_on_bad_input @@ fun () ->
     let kinds =
       List.map
         (fun file ->
@@ -1480,7 +1440,7 @@ let serve_cmd =
                rebuild needs the full input graph)@.";
             exit 1
           end;
-          let snap = Serve.Snapshot.load file in
+          let snap = exit_on_bad_input (fun () -> Serve.Snapshot.load file) in
           Format.printf "snapshot loaded from %s@." file;
           (Serve.Snapshot.graph snap, None, fun ~routing:_ -> snap)
       | None ->
@@ -1499,7 +1459,9 @@ let serve_cmd =
     let w =
       match workload_in with
       | Some file ->
-          let w = Serve.Workload.load ~n:(Graph.n g) file in
+          let w =
+            exit_on_bad_input (fun () -> Serve.Workload.load ~n:(Graph.n g) file)
+          in
           Format.printf "workload: %d queries (%d routes) from %s@."
             (Array.length w)
             (Serve.Workload.route_count w)
@@ -1667,7 +1629,7 @@ let query_cmd =
           ~doc:"Sampled queries when no pairs are given.")
   in
   let run snapshot_in pairs route count seed =
-    let snap = Serve.Snapshot.load snapshot_in in
+    let snap = exit_on_bad_input (fun () -> Serve.Snapshot.load snapshot_in) in
     Format.printf "snapshot: %a@." Serve.Snapshot.pp snap;
     if route && not (Serve.Snapshot.has_routing snap) then begin
       Format.eprintf
@@ -1796,7 +1758,7 @@ let sweep_cmd =
         Format.fprintf ppf "FAIL (%s)" (Scenario.Sweep.failure_tag f)
   in
   let run specs samples out_dir json_file metrics_file replay profile_file
-      shrink_evals () =
+      shrink_evals =
     match replay with
     | Some file -> (
         match Scenario.Compile.load file with
@@ -1929,7 +1891,7 @@ let sweep_cmd =
           replayable plan file.")
     Term.(
       const run $ specs $ samples $ out_dir $ json_file $ metrics_file
-      $ replay $ profile_file $ shrink_evals $ arq_backoff_term)
+      $ replay $ profile_file $ shrink_evals)
 
 (* ------------------------------------------------------------------ *)
 (* experiment *)

@@ -309,7 +309,6 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   let last_stats =
     ref { Sim.rounds = 0; messages = 0; words = 0; max_message_words = 0 }
   in
-  let scope = Obs.Scope.of_registry metrics in
   (* Phase spans are recorded at exactly the same boundaries as the
      stats deltas, covering (prev rounds, current rounds]; the call
      span currently open (if any) becomes their parent, so the span
@@ -330,18 +329,13 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           (Obs.Span.span spans ~parent:!current_call_span Obs.Span.Phase ~name
              ~start_round:prev.Sim.rounds ~stop_round:s.Sim.rounds);
       if metrics_on then begin
-        let sc = Obs.Scope.phase scope name in
-        Obs.Metrics.add
-          (Obs.Scope.counter sc "phase_rounds")
-          (s.Sim.rounds - prev.Sim.rounds);
-        Obs.Metrics.add
-          (Obs.Scope.counter sc "phase_messages")
-          (s.Sim.messages - prev.Sim.messages);
-        Obs.Metrics.add
-          (Obs.Scope.counter sc "phase_words")
-          (s.Sim.words - prev.Sim.words);
+        let labels = [ ("phase", name) ] in
+        let add c v = Obs.Metrics.add (Obs.Metrics.counter metrics ~labels c) v in
+        add "phase_rounds" (s.Sim.rounds - prev.Sim.rounds);
+        add "phase_messages" (s.Sim.messages - prev.Sim.messages);
+        add "phase_words" (s.Sim.words - prev.Sim.words);
         Obs.Metrics.set_max
-          (Obs.Scope.gauge sc "phase_max_message_words")
+          (Obs.Metrics.gauge metrics ~labels "phase_max_message_words")
           (!window_now ())
       end
     end
@@ -353,8 +347,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       contributed.(who) <- contributed.(who) + 1;
       if Obs.Metrics.enabled metrics then
         Obs.Metrics.incr
-          (Obs.Scope.counter
-             (Obs.Scope.cluster scope nodes.(who).cl_center)
+          (Obs.Metrics.counter metrics
+             ~labels:[ ("cluster", string_of_int nodes.(who).cl_center) ]
              "cluster_edges_kept")
     end
   in
@@ -1565,16 +1559,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        whose abandoned transmissions double as the failure detector.
        The protocol state lives in [nodes]; the wrapped inner protocol
        is just a mailbox that dispatches deliveries and drains the
-       outbox the phase driver fills.
-
-       The pump is event-driven: a round visits only the live nodes
-       with a delivery, a pending emission or a retransmit timer due,
-       in ascending id order.  Any other node's visit would send
-       nothing and change nothing, so sends, fault draws and traces are
-       those of visiting every node every round.  Three sources feed a
-       round's wake set [runq]: the engine's deliveries, [mail] (nodes
-       whose outbox went non-empty since their last visit) and the
-       [timers] heap of (due round, node). *)
+       outbox the phase driver fills.  The event-driven {!Sim.Pump}
+       visits a node only when it has a delivery, a pending emission
+       (poked when its outbox goes non-empty) or a retransmit timer
+       due.  Under churn a down link swallows the frame — the ARQ
+       retransmits, and persistent downtime ripens into a suspicion
+       exactly like a crashed peer. *)
     let outbox : (int * msg) list array = Array.make n [] in
     let module P = struct
       type state = int
@@ -1589,42 +1579,30 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         outbox.(v) <- [];
         (st, outs)
     end in
-    let module R = Reliable.Make (P) in
-    R.use_metrics metrics;
-    R.use_spans spans;
-    let net : R.message Sim.t = Sim.create ~faults ?tracer ~metrics ~spans g in
-    let runq : int Util.Heap.t = Util.Heap.create () in
-    let queued = Array.make n (-1) (* round a node last entered [runq] *) in
-    let wake v =
-      let round = Sim.round net in
-      if queued.(v) <> round then begin
-        queued.(v) <- round;
-        Util.Heap.push runq ~key:v v
-      end
+    let module R =
+      Reliable.Make
+        (P)
+        (struct
+          let metrics = metrics
+          let spans = spans
+        end)
     in
-    let mail = ref [] in
-    (* The node being visited, or -1 outside the visiting loop.  An
-       emission by a node later in this round's order is drained this
-       round, as an all-nodes sweep would; one by the visited node
-       itself is drained by its own visit; any other waits a round. *)
-    let cursor = ref (-1) in
-    (* Every node with an armed timer has an entry here, keyed by its
-       [R.next_due] or (after a [reset_peer]) an earlier round. *)
-    let timers : int Util.Heap.t = Util.Heap.create () in
-    let pushed_due = Array.make n max_int (* last key pushed per node *) in
+    let module Pump = Sim.Pump (R) in
+    let net : R.message Sim.t = Sim.create ~faults ?tracer ~metrics ~spans g in
+    let pump = Pump.create net in
+    let state v = Option.get (Pump.state pump v) in
     let dynamic = Fault.has_churn faults in
     round_now := (fun () -> Sim.round net);
     stats_now := (fun () -> Sim.stats net);
     window_now := (fun () -> Sim.take_window_max net);
     edge_up_now := Sim.edge_up net;
-    let states = Array.init n (fun v -> fst (R.init g v)) in
-    let inboxes : (int * R.message) list array = Array.make n [] in
+    for v = 0 to n - 1 do
+      Pump.install pump v (fst (R.init g v))
+    done;
     let suspects_seen = Array.make n 0 in
     emit_ref :=
       (fun ~src ~dst m ->
-        if outbox.(src) = [] then
-          if !cursor < 0 || src < !cursor then mail := src :: !mail
-          else if src > !cursor then wake src;
+        Pump.poke pump src;
         outbox.(src) <- (dst, m) :: outbox.(src));
     (* Crash-recovery: when a node's restart round arrives, revive it.
        The reborn node is engine-live but protocol-dead ([proto_dead]):
@@ -1636,12 +1614,13 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        phase-boundary checkpoint restored, and every neighbor that had
        not yet written the node off forced to do so now: the crash
        severed their sessions, and the abandonment that would have
-       ripened into a suspicion died with the reset. *)
+       ripened into a suspicion died with the reset.  (Nothing is
+       delivered to it this round: every frame in flight was addressed
+       to its old incarnation.) *)
     let pending_revives = ref (Fault.restart_schedule faults) in
     let revive ~round v =
-      inboxes.(v) <- [];
       outbox.(v) <- [];
-      states.(v) <- fst (R.init g v);
+      Pump.install pump v (fst (R.init g v));
       suspects_seen.(v) <- 0;
       let nd = nodes.(v) in
       (match Recovery.Checkpoints.restore ckpt v with
@@ -1673,37 +1652,15 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       nd.fin_done_sent <- false;
       nd.fin_aborting <- false;
       Graph.iter_neighbors g v (fun w _ ->
-          R.reset_peer states.(w) ~round v;
-          suspects_seen.(w) <- List.length (R.suspected states.(w));
+          R.reset_peer (state w) ~round v;
+          suspects_seen.(w) <- List.length (R.suspected (state w));
           if (not (proto_dead w)) && not (Hashtbl.mem nodes.(w).nb_dead v)
           then on_suspect ~by:w v)
-    in
-    let arm v =
-      let due = R.next_due states.(v) in
-      if due <> max_int && due <> pushed_due.(v) then begin
-        pushed_due.(v) <- due;
-        Util.Heap.push timers ~key:due v
-      end
-    in
-    let visit ~round v =
-      let inbox = List.rev inboxes.(v) in
-      inboxes.(v) <- [];
-      let st = states.(v) in
-      let _, outs = R.receive g ~round v st inbox in
-      (* Under churn a down link swallows the frame — the ARQ
-         retransmits, and persistent downtime ripens into a suspicion
-         exactly like a crashed peer. *)
-      List.iter
-        (fun (dst, rm) ->
-          if (not dynamic) || Sim.link_up net ~src:v ~dst then
-            Sim.send net ~src:v ~dst ~words:(R.message_words rm) rm)
-        outs;
-      arm v
     in
     (* Fold freshly abandoned transmissions into the detector.  Only a
        visit abandons, so only this round's visited nodes can have any. *)
     let fold_suspicions v =
-      let s = R.suspected states.(v) in
+      let s = R.suspected (state v) in
       let len = List.length s in
       if len > suspects_seen.(v) then begin
         let fresh = ref [] and extra = ref (len - suspects_seen.(v)) in
@@ -1718,66 +1675,23 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         List.iter (fun w -> on_suspect ~by:v w) !fresh
       end
     in
-    pump_ref :=
-      (fun () ->
-        ignore
-          (Sim.step net (fun ~dst ~src m ->
-               if inboxes.(dst) = [] then wake dst;
-               inboxes.(dst) <- (src, m) :: inboxes.(dst)));
-        let round = Sim.round net in
-        (if restarting then
-           match !pending_revives with
-           | (r, _) :: _ when r <= round ->
-               let landed, rest =
-                 List.partition (fun (r, _) -> r <= round) !pending_revives
-               in
-               pending_revives := rest;
-               List.iter (fun (_, v) -> revive ~round v) landed
-           | _ -> ());
-        let rec due_timers () =
-          match Util.Heap.peek_min timers with
-          | Some (d, v) when d <= round ->
-              ignore (Util.Heap.pop_min timers);
-              if pushed_due.(v) = d then pushed_due.(v) <- max_int;
-              (* A reset peer can leave a node's earliest timer later
-                 than the key it was pushed under: re-arm it. *)
-              if R.next_due states.(v) <= round then wake v else arm v;
-              due_timers ()
-          | _ -> ()
-        in
-        due_timers ();
-        List.iter wake !mail;
-        mail := [];
-        let visited = ref [] in
-        let rec drain () =
-          match Util.Heap.pop_min runq with
-          | None -> ()
-          | Some (_, v) ->
-              if crashed_now v then inboxes.(v) <- []
-              else if
-                inboxes.(v) <> []
-                || outbox.(v) <> []
-                || R.next_due states.(v) <= round
-              then begin
-                cursor := v;
-                visit ~round v;
-                visited := v :: !visited
-              end;
-              drain ()
-        in
-        drain ();
-        cursor := -1;
-        List.iter fold_suspicions (List.rev !visited));
-    idle_ref :=
-      (fun () ->
-        Sim.quiescent net
-        && List.for_all (fun v -> crashed_now v || outbox.(v) = []) !mail
-        && not
-             (Util.Heap.exists timers (fun v ->
-                  (not (crashed_now v)) && R.active states.(v))));
+    let landed round =
+      if restarting then
+        match !pending_revives with
+        | (r, _) :: _ when r <= round ->
+            let landed, rest =
+              List.partition (fun (r, _) -> r <= round) !pending_revives
+            in
+            pending_revives := rest;
+            List.iter (fun (_, v) -> revive ~round v) landed
+        | _ -> ()
+    in
+    pump_ref := (fun () -> List.iter fold_suspicions (Pump.step pump ~landed));
+    let live v = not (crashed_now v) in
+    idle_ref := (fun () -> Pump.idle pump ~live);
     link_idle_ref :=
       (fun v w ->
-        R.link_idle states.(v) w
+        R.link_idle (state v) w
         && not (List.exists (fun (d, _) -> d = w) outbox.(v)));
     run_plan ();
     if dynamic || restarting then
@@ -1788,13 +1702,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
                 !pump_ref ()
               done)
             ());
-    Array.iteri
-      (fun v st ->
-        if not (crashed_now v) then begin
-          retransmissions := !retransmissions + R.retransmissions st;
-          dead_letters := !dead_letters + R.dead_letters st
-        end)
-      states
+    for v = 0 to n - 1 do
+      if not (crashed_now v) then begin
+        retransmissions := !retransmissions + R.retransmissions (state v);
+        dead_letters := !dead_letters + R.dead_letters (state v)
+      end
+    done
   end;
 
   (* ---------------- result ---------------- *)

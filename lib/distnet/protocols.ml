@@ -39,6 +39,22 @@ let flood ?faults ?tracer g ~root ~payload_words =
    whenever its distance improves — because under delay and
    retransmission the neat layer-by-layer arrival order is gone. *)
 
+(* Lift a node program through the ARQ wrapper and run it on the
+   event-driven pump. *)
+let run_reliable (type s) ?max_rounds ?faults ?tracer ?metrics ?spans g
+    (module N : Sim.PROTOCOL with type state = s) =
+  let module R =
+    Reliable.Make
+      (N)
+      (struct
+        let metrics = Option.value metrics ~default:Obs.Metrics.disabled
+        let spans = Option.value spans ~default:Obs.Span.disabled
+      end)
+  in
+  let module Runner = Sim.Run_active (R) in
+  let stats, states = Runner.run ?max_rounds ?faults ?tracer ?metrics ?spans g in
+  (stats, Array.map R.inner states)
+
 let reliable_bfs ?max_rounds ?faults ?tracer ?metrics ?spans g ~root =
   let module N = struct
     type state = int (* distance from root; -1 = unknown *)
@@ -60,12 +76,7 @@ let reliable_bfs ?max_rounds ?faults ?tracer ?metrics ?spans g ~root =
       if best >= 0 && (st < 0 || best < st) then (best, announce g v best)
       else (st, [])
   end in
-  let module R = Reliable.Make (N) in
-  Option.iter R.use_metrics metrics;
-  Option.iter R.use_spans spans;
-  let module Runner = Sim.Run_active (R) in
-  let stats, states = Runner.run ?max_rounds ?faults ?tracer ?metrics ?spans g in
-  (stats, Array.map R.inner states)
+  run_reliable ?max_rounds ?faults ?tracer ?metrics ?spans g (module N)
 
 let reliable_flood ?max_rounds ?faults ?tracer ?metrics ?spans g ~root
     ~payload_words =
@@ -87,9 +98,4 @@ let reliable_flood ?max_rounds ?faults ?tracer ?metrics ?spans g ~root
         (true, fanout g v ~except:(List.map fst inbox))
       else (st, [])
   end in
-  let module R = Reliable.Make (N) in
-  Option.iter R.use_metrics metrics;
-  Option.iter R.use_spans spans;
-  let module Runner = Sim.Run_active (R) in
-  let stats, states = Runner.run ?max_rounds ?faults ?tracer ?metrics ?spans g in
-  (stats, Array.map R.inner states)
+  run_reliable ?max_rounds ?faults ?tracer ?metrics ?spans g (module N)

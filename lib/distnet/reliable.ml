@@ -1,79 +1,33 @@
 module Graph = Graphlib.Graph
 
-type config = {
-  initial_rto : int;
-  max_rto : int;
-  max_retries : int;
-  backoff : float;
-}
+let initial_rto = 3
+let max_rto = 32
+let max_retries = 12
 
-let default_config =
-  { initial_rto = 3; max_rto = 32; max_retries = 12; backoff = 2. }
+module type SINKS = sig
+  val metrics : Obs.Metrics.t
+  val spans : Obs.Span.t
+end
 
-let initial_rto = default_config.initial_rto
-let max_rto = default_config.max_rto
-let max_retries = default_config.max_retries
-
-(* One policy for every instantiation: the ARQ is a transport knob of
-   the whole network, not of one protocol functor.  The default IS the
-   historical constants, so runs that never touch the config stay
-   byte-identical to every pinned trace. *)
-let current_config = ref default_config
-
-let config () = !current_config
-
-let set_config c =
-  if c.initial_rto < 1 then
-    invalid_arg
-      (Printf.sprintf "Reliable.set_config: initial_rto %d < 1" c.initial_rto);
-  if c.max_rto < c.initial_rto then
-    invalid_arg
-      (Printf.sprintf "Reliable.set_config: max_rto %d < initial_rto %d"
-         c.max_rto c.initial_rto);
-  if c.max_retries < 1 then
-    invalid_arg
-      (Printf.sprintf "Reliable.set_config: max_retries %d < 1" c.max_retries);
-  if not (c.backoff >= 1.) then
-    invalid_arg
-      (Printf.sprintf
-         "Reliable.set_config: backoff %g < 1 (1 = fixed retransmit interval)"
-         c.backoff);
-  current_config := c
-
-module Make (P : Sim.PROTOCOL) = struct
+module Make (P : Sim.PROTOCOL) (O : SINKS) = struct
   (* Instruments, shared by every node of this instantiation (the
-     counts are network-wide aggregates).  They default to no-ops;
-     [use_metrics] swaps in live ones before a run. *)
-  let m_retrans =
-    ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_retransmissions")
+     counts are network-wide aggregates). *)
+  let m_retrans = Obs.Metrics.counter O.metrics "arq_retransmissions"
+  let m_dead = Obs.Metrics.counter O.metrics "arq_dead_letters"
+  let m_timer = Obs.Metrics.counter O.metrics "arq_timer_fires"
+  let m_ack_latency = Obs.Metrics.histogram O.metrics "arq_ack_latency"
+  let m_backoff = Obs.Metrics.counter O.metrics "arq_backoff_escalations"
 
-  let m_dead = ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_dead_letters")
-  let m_timer = ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_timer_fires")
-
-  let m_ack_latency =
-    ref (Obs.Metrics.histogram Obs.Metrics.disabled "arq_ack_latency")
-
-  let m_backoff =
-    ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_backoff_escalations")
-
-  let use_metrics m =
-    m_retrans := Obs.Metrics.counter m "arq_retransmissions";
-    m_dead := Obs.Metrics.counter m "arq_dead_letters";
-    m_timer := Obs.Metrics.counter m "arq_timer_fires";
-    m_ack_latency := Obs.Metrics.histogram m "arq_ack_latency";
-    m_backoff := Obs.Metrics.counter m "arq_backoff_escalations"
-
-  (* Causal spans, same sharing discipline as the instruments: one
-     [Arq] span per stop-and-wait exchange (first transmission →
-     acknowledgement), with each retransmission a point-event linked
-     to it, so the critical path can tell a slow hop from a lossy one. *)
-  let s_spans = ref Obs.Span.disabled
-  let use_spans s = s_spans := s
+  (* Causal spans: one [Arq] span per stop-and-wait exchange (first
+     transmission → acknowledgement), with each retransmission a
+     point-event linked to it, so the critical path can tell a slow hop
+     from a lossy one. *)
+  let spans = O.spans
 
   (* A span's name, formatted only when spans are on: a disabled sink
      must allocate nothing. *)
   let seq_name seq =
-    if Obs.Span.enabled !s_spans then Printf.sprintf "seq-%d" seq else ""
+    if Obs.Span.enabled spans then Printf.sprintf "seq-%d" seq else ""
 
   type message = { acks : int list; data : (int * P.message) option }
 
@@ -103,7 +57,6 @@ module Make (P : Sim.PROTOCOL) = struct
     mutable retrans : int;
     mutable dead : int;
     mutable abandoned : int list;  (** peers with >= 1 dead letter *)
-    mutable last : int;  (** round of the last visit *)
     mutable next_due : int;  (** earliest inflight [due], or [max_int] *)
   }
 
@@ -111,6 +64,9 @@ module Make (P : Sim.PROTOCOL) = struct
   let retransmissions st = st.retrans
   let dead_letters st = st.dead
   let suspected st = st.abandoned
+
+  (* Every visit ends by starting the next queued message on each idle
+     link, so a non-empty queue implies an armed timer. *)
   let next_due st = st.next_due
 
   let link_idle st w =
@@ -119,10 +75,6 @@ module Make (P : Sim.PROTOCOL) = struct
     | Some i ->
         let p = st.peers.(i) in
         p.inflight = None && Queue.is_empty p.queue
-
-  (* Every visit ends by starting the next queued message on each idle
-     link, so a non-empty queue implies an armed timer. *)
-  let active st = st.next_due <> max_int
 
   let earliest_due st =
     Array.fold_left
@@ -145,15 +97,14 @@ module Make (P : Sim.PROTOCOL) = struct
     | None -> None
     | Some m ->
         let seq = p.next_seq in
-        let rto0 = !current_config.initial_rto in
         p.next_seq <- seq + 1;
         p.inflight <- Some (seq, m);
-        p.rto <- rto0;
-        p.due <- round + rto0;
+        p.rto <- initial_rto;
+        p.due <- round + initial_rto;
         p.retries <- 0;
         p.sent_round <- round;
         p.span <-
-          Obs.Span.open_span !s_spans ~src:owner ~dst:p.nbr Obs.Span.Arq
+          Obs.Span.open_span spans ~src:owner ~dst:p.nbr Obs.Span.Arq
             ~name:(seq_name seq)
             ~round;
         Some (seq, m)
@@ -169,40 +120,33 @@ module Make (P : Sim.PROTOCOL) = struct
       | None -> start_next ~owner:st.v ~round p
       | Some (seq, m) ->
           if p.due > round then None
-          else if p.retries >= !current_config.max_retries then begin
+          else if p.retries >= max_retries then begin
             (* The peer is not answering (crashed, or the link is
                hopeless): abandon, move on. *)
-            Obs.Metrics.incr !m_timer;
+            Obs.Metrics.incr m_timer;
             p.inflight <- None;
             st.dead <- st.dead + 1;
-            Obs.Metrics.incr !m_dead;
+            Obs.Metrics.incr m_dead;
             if not (List.mem p.nbr st.abandoned) then
               st.abandoned <- p.nbr :: st.abandoned;
-            Obs.Span.drop !s_spans ~round ~reason:"dead-letter" p.span;
+            Obs.Span.drop spans ~round ~reason:"dead-letter" p.span;
             p.span <- -1;
             start_next ~owner:st.v ~round p
           end
           else begin
             Obs.Prof.enter (Obs.Prof.current ()) "arq_retransmit";
-            Obs.Metrics.incr !m_timer;
+            Obs.Metrics.incr m_timer;
             p.retries <- p.retries + 1;
-            let c = !current_config in
-            (* Truncated multiplicative backoff; [backoff = 1] is a
-               fixed retransmit interval, the default [2] the classic
-               doubling.  An escalation is a timeout that actually grew
-               the window. *)
-            let next =
-              Stdlib.min c.max_rto
-                (Stdlib.max p.rto
-                   (int_of_float (float_of_int p.rto *. c.backoff)))
-            in
-            if next > p.rto then Obs.Metrics.incr !m_backoff;
+            (* Truncated doubling.  An escalation is a timeout that
+               actually grew the window. *)
+            let next = Stdlib.min max_rto (2 * p.rto) in
+            if next > p.rto then Obs.Metrics.incr m_backoff;
             p.rto <- next;
             p.due <- round + next;
             st.retrans <- st.retrans + 1;
-            Obs.Metrics.incr !m_retrans;
+            Obs.Metrics.incr m_retrans;
             ignore
-              (Obs.Span.span !s_spans ~parent:p.span ~src:st.v ~dst:p.nbr
+              (Obs.Span.span spans ~parent:p.span ~src:st.v ~dst:p.nbr
                  Obs.Span.Retransmit
                  ~name:(seq_name seq)
                  ~start_round:round ~stop_round:round);
@@ -227,7 +171,6 @@ module Make (P : Sim.PROTOCOL) = struct
           match outgoing st ~round p with Some m -> m :: out | None -> out)
         [] st.peers
     in
-    st.last <- round;
     st.next_due <- earliest_due st;
     Obs.Prof.leave prof;
     out
@@ -242,7 +185,7 @@ module Make (P : Sim.PROTOCOL) = struct
             next_seq = 0;
             queue = Queue.create ();
             inflight = None;
-            rto = !current_config.initial_rto;
+            rto = initial_rto;
             due = 0;
             retries = 0;
             sent_round = 0;
@@ -264,7 +207,6 @@ module Make (P : Sim.PROTOCOL) = struct
         retrans = 0;
         dead = 0;
         abandoned = [];
-        last = 0;
         next_due = max_int;
       }
     in
@@ -286,13 +228,13 @@ module Make (P : Sim.PROTOCOL) = struct
         let p = st.peers.(i) in
         (match p.inflight with
         | Some _ ->
-            Obs.Span.drop !s_spans ~round ~reason:"session-reset" p.span
+            Obs.Span.drop spans ~round ~reason:"session-reset" p.span
         | None -> ());
         p.span <- -1;
         p.inflight <- None;
         p.next_seq <- 0;
         Queue.clear p.queue;
-        p.rto <- !current_config.initial_rto;
+        p.rto <- initial_rto;
         p.due <- 0;
         p.retries <- 0;
         p.sent_round <- round;
@@ -301,18 +243,15 @@ module Make (P : Sim.PROTOCOL) = struct
         st.abandoned <- List.filter (fun x -> x <> w) st.abandoned;
         st.next_due <- earliest_due st
 
-  (* The endpoint ran last at [st.last] and runs again at [round]; the
-     rounds in between did not happen for it (it was crashed, or had
-     not joined), so its armed timers slide by the gap. *)
-  let resume st ~round =
-    let gap = round - 1 - st.last in
-    if gap > 0 then begin
+  (* The rounds [frozen] did not happen for this endpoint (it was
+     crashed, or had not joined), so its armed timers slide by them. *)
+  let resume st ~frozen =
+    if frozen > 0 then begin
       Array.iter
-        (fun p -> if p.inflight <> None then p.due <- p.due + gap)
+        (fun p -> if p.inflight <> None then p.due <- p.due + frozen)
         st.peers;
       st.next_due <- earliest_due st
     end;
-    st.last <- round - 1;
     st
 
   let receive g ~round v st inbox =
@@ -324,11 +263,11 @@ module Make (P : Sim.PROTOCOL) = struct
           (fun a ->
             match p.inflight with
             | Some (seq, _) when seq = a ->
-                Obs.Metrics.observe !m_ack_latency (round - p.sent_round);
-                Obs.Span.close !s_spans ~round p.span;
+                Obs.Metrics.observe m_ack_latency (round - p.sent_round);
+                Obs.Span.close spans ~round p.span;
                 p.span <- -1;
                 p.inflight <- None;
-                p.rto <- !current_config.initial_rto;
+                p.rto <- initial_rto;
                 p.retries <- 0
             | _ -> () (* stale ack from an earlier retransmission *))
           acks;

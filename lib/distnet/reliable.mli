@@ -20,68 +20,46 @@
     (e.g. to a crashed neighbor) is counted in {!dead_letters}; this
     bounds the run when a peer is gone forever. *)
 
-(** Retransmission policy (rounds are the time unit). *)
+(** {1 Retransmission policy}
 
-(** The retransmit-timer policy, shared by every instantiation of
-    {!Make} (the ARQ is a property of the network, not of one
-    protocol).  On each timeout the timer grows by the [backoff]
-    factor (truncated), capped at [max_rto]; [backoff = 1.] is a fixed
-    retransmit interval.  Timeouts that actually grow the window are
-    counted in the [arq_backoff_escalations] metric. *)
-type config = {
-  initial_rto : int;  (** first timeout, rounds; must be [>= 1] *)
-  max_rto : int;  (** backoff ceiling; must be [>= initial_rto] *)
-  max_retries : int;  (** tries before a dead letter; must be [>= 1] *)
-  backoff : float;  (** timer growth per timeout; must be [>= 1.] *)
-}
-
-val default_config : config
-(** [{initial_rto = 3; max_rto = 32; max_retries = 12; backoff = 2.}] —
-    the historical constants: first timeout one round past the
-    loss-free ack round trip, classic doubling.  Runs that never call
-    {!set_config} are byte-identical to runs before the policy became
-    configurable. *)
-
-val config : unit -> config
-(** The policy currently in force. *)
-
-val set_config : config -> unit
-(** Install a policy for subsequent runs.  Affects every {!Make}
-    instantiation; call before [Sim.create]/[run], not mid-run (nodes
-    cache nothing, but an in-flight exchange would mix policies).
-    @raise Invalid_argument naming the offending field if the config
-    violates the bounds above. *)
+    Rounds are the time unit.  A message's first timeout is
+    {!initial_rto}; each timeout doubles it, truncated at {!max_rto};
+    after {!max_retries} retransmissions the message is abandoned.
+    Timeouts that actually grow the window are counted in the
+    [arq_backoff_escalations] metric. *)
 
 val initial_rto : int
-(** First timeout of {!default_config}: [3] rounds. *)
+(** First timeout: [3] rounds, one round past the loss-free ack round
+    trip. *)
 
 val max_rto : int
-(** Backoff ceiling of {!default_config}: [32] rounds. *)
+(** Backoff ceiling: [32] rounds. *)
 
 val max_retries : int
-(** Retransmissions before a message is abandoned, by default: [12]. *)
+(** Retransmissions before a message is abandoned: [12]. *)
 
-module Make (P : Sim.PROTOCOL) : sig
+(** The observability sinks of one instantiation, fixed when {!Make}
+    is applied.  Purely observational — never change protocol
+    behavior. *)
+module type SINKS = sig
+  val metrics : Obs.Metrics.t
+  (** Network-wide aggregates: counters [arq_retransmissions] /
+      [arq_dead_letters] / [arq_timer_fires] /
+      [arq_backoff_escalations] and an [arq_ack_latency] histogram
+      (rounds from a message's first transmission to its
+      acknowledgement).  {!Obs.Metrics.disabled} records nothing. *)
+
+  val spans : Obs.Span.t
+  (** One [Arq] span per stop-and-wait exchange, opened at the seq's
+      first transmission and closed at its acknowledgement (dropped
+      with reason ["dead-letter"] on abandonment), plus one
+      [Retransmit] point-event per retransmission, linked via [parent]
+      to the exchange it retried.  {!Obs.Span.disabled} records
+      nothing. *)
+end
+
+module Make (P : Sim.PROTOCOL) (_ : SINKS) : sig
   include Sim.ACTIVE_PROTOCOL
-
-  val use_metrics : Obs.Metrics.t -> unit
-  (** Route this instantiation's instruments into the given registry
-      (network-wide aggregates): counters [arq_retransmissions] /
-      [arq_dead_letters] / [arq_timer_fires] and an [arq_ack_latency]
-      histogram (rounds from a message's first transmission to its
-      acknowledgement).  Defaults to the no-op sink; call again with
-      {!Obs.Metrics.disabled} to turn recording back off.  Purely
-      observational — never changes protocol behavior. *)
-
-  val use_spans : Obs.Span.t -> unit
-  (** Route this instantiation's causal spans into the given sink: one
-      [Arq] span per stop-and-wait exchange, opened at the seq's first
-      transmission and closed at its acknowledgement (dropped with
-      reason ["dead-letter"] on abandonment), plus one [Retransmit]
-      point-event per retransmission, linked via [parent] to the
-      exchange it retried.  Defaults to the no-op sink; call again
-      with {!Obs.Span.disabled} to turn recording back off.  Purely
-      observational — never changes protocol behavior. *)
 
   val inner : state -> P.state
   (** The wrapped protocol's state at this node. *)
@@ -113,13 +91,13 @@ module Make (P : Sim.PROTOCOL) : sig
 
   val next_due : state -> int
   (** The round at which this endpoint's earliest retransmit timer
-      fires, or [max_int] when none is armed.  Timers are absolute
-      rounds: a {!receive} at round [r] retransmits (or abandons) every
-      inflight message whose timer is due by [r], however many rounds
-      passed since the endpoint's previous visit.  A driver that visits
-      an endpoint only when it has a delivery, new inner messages, or
-      [next_due <= r] therefore behaves exactly like one that visits it
-      every round. *)
+      fires, or [max_int] when none is armed.  A {!receive} at round
+      [r] retransmits (or abandons) every inflight message whose timer
+      is due by [r], however many rounds passed since the endpoint's
+      previous visit, so a driver that visits an endpoint only when it
+      has a delivery, new inner messages, or [next_due <= r] ({!Sim.Pump})
+      behaves exactly like one that visits it every round.  [resume]
+      slides every armed timer by the [frozen] rounds. *)
 
   val reset_peer : state -> round:int -> int -> unit
   (** [reset_peer st ~round w] forgets every ARQ session toward and

@@ -451,110 +451,212 @@ end
 module type ACTIVE_PROTOCOL = sig
   include PROTOCOL
 
-  val active : state -> bool
-  val resume : state -> round:int -> state
+  val next_due : state -> int
+  val resume : state -> frozen:int -> state
+end
+
+module Pump (P : ACTIVE_PROTOCOL) = struct
+  type nonrec t = {
+    net : P.message t;
+    states : P.state option array;  (** [None] until installed *)
+    inboxes : (int * P.message) list array;  (** this round's deliveries *)
+    runq : int Util.Heap.t;  (** this round's wake set, keyed by id *)
+    queued : int array;  (** round a node last entered [runq] *)
+    timers : int Util.Heap.t;  (** (due round, node) *)
+    pushed_due : int array;  (** last key pushed to [timers] per node *)
+    poked : bool array;  (** output produced outside the node's visits *)
+    mutable mail : int list;  (** poked before the cursor: next round *)
+    mutable cursor : int;  (** the node being visited, or -1 *)
+  }
+
+  let create net =
+    let n = Graph.n net.g in
+    {
+      net;
+      states = Array.make n None;
+      inboxes = Array.make n [];
+      runq = Util.Heap.create ();
+      queued = Array.make n (-1);
+      timers = Util.Heap.create ();
+      pushed_due = Array.make n max_int;
+      poked = Array.make n false;
+      mail = [];
+      cursor = -1;
+    }
+
+  let state p v = p.states.(v)
+
+  let wake p v =
+    if p.queued.(v) <> p.net.rounds then begin
+      p.queued.(v) <- p.net.rounds;
+      Util.Heap.push p.runq ~key:v v
+    end
+
+  (* Every node with an armed timer keeps an entry in [timers], keyed
+     by its [next_due] or by an earlier round (the protocol may have
+     pushed the timer back since). *)
+  let arm p v st =
+    let due = P.next_due st in
+    if due <> max_int && due <> p.pushed_due.(v) then begin
+      p.pushed_due.(v) <- due;
+      Util.Heap.push p.timers ~key:due v
+    end
+
+  let install p v st =
+    p.states.(v) <- Some st;
+    p.poked.(v) <- false;
+    arm p v st
+
+  (* Node programs are churn-oblivious: a send over a down link simply
+     never makes it onto the wire (loss, as far as they can tell). *)
+  let post p v msgs =
+    List.iter
+      (fun (dst, m) ->
+        if (not p.net.dynamic) || link_up p.net ~src:v ~dst then
+          send p.net ~src:v ~dst ~words:(P.message_words m) m)
+      msgs
+
+  (* Output by a node later in this round's order is visited this
+     round, as an all-nodes sweep would; by the visited node itself, by
+     its own visit; by any other node, next round. *)
+  let poke p v =
+    if v <> p.cursor && not p.poked.(v) then begin
+      p.poked.(v) <- true;
+      if p.cursor < 0 || v < p.cursor then p.mail <- v :: p.mail
+      else wake p v
+    end
+
+  let visit p ~round v st =
+    let inbox = List.rev p.inboxes.(v) in
+    p.inboxes.(v) <- [];
+    p.poked.(v) <- false;
+    p.cursor <- v;
+    let st', msgs = P.receive p.net.g ~round v st inbox in
+    if st' != st then p.states.(v) <- Some st';
+    post p v msgs;
+    arm p v st'
+
+  let step p ~landed =
+    ignore
+      (step p.net (fun ~dst ~src m ->
+           if p.inboxes.(dst) = [] then wake p dst;
+           p.inboxes.(dst) <- (src, m) :: p.inboxes.(dst)));
+    let round = p.net.rounds in
+    landed round;
+    let rec due_timers () =
+      match Util.Heap.peek_min p.timers with
+      | Some (d, v) when d <= round ->
+          ignore (Util.Heap.pop_min p.timers);
+          if p.pushed_due.(v) = d then p.pushed_due.(v) <- max_int;
+          (match p.states.(v) with
+          | Some st -> if P.next_due st <= round then wake p v else arm p v st
+          | None -> ());
+          due_timers ()
+      | _ -> ()
+    in
+    due_timers ();
+    List.iter (wake p) p.mail;
+    p.mail <- [];
+    (* A woken node with nothing to do would send nothing and change
+       nothing, so it is skipped. *)
+    let rec drain visited =
+      match Util.Heap.pop_min p.runq with
+      | None -> List.rev visited
+      | Some (_, v) -> (
+          match p.states.(v) with
+          | Some st when not (Fault.crashed p.net.faults ~round v) ->
+              if p.inboxes.(v) <> [] || p.poked.(v) || P.next_due st <= round
+              then begin
+                visit p ~round v st;
+                drain (v :: visited)
+              end
+              else drain visited
+          | _ ->
+              p.inboxes.(v) <- [];
+              drain visited)
+    in
+    let visited = drain [] in
+    p.cursor <- -1;
+    visited
+
+  let idle p ~live =
+    quiescent p.net
+    && (not (List.exists (fun v -> live v && p.poked.(v)) p.mail))
+    && not
+         (Util.Heap.exists p.timers (fun v ->
+              live v
+              &&
+              match p.states.(v) with
+              | Some st -> P.next_due st <> max_int
+              | None -> false))
 end
 
 module Run_active (P : ACTIVE_PROTOCOL) = struct
+  module Pump = Pump (P)
+
   let run ?(max_rounds = 1_000_000) ?faults ?tracer ?metrics ?spans g =
     let n = Graph.n g in
     let t = create ?faults ?tracer ?metrics ?spans g in
     let faults = t.faults in
-    let states = Array.init n (fun _ -> None) in
-    let state v =
-      match states.(v) with Some st -> st | None -> assert false
+    let p = Pump.create t in
+    (* A node's state freezes after the last round it ran before its
+       crash: [crash - 1], or [join - 1] if it joined already crashed
+       (a join counts as having run the round before it). *)
+    let froze = Array.make n 0 in
+    List.iter (fun (r, v) -> froze.(v) <- r - 1) (Fault.join_schedule faults);
+    List.iter
+      (fun (r, v) -> froze.(v) <- Stdlib.max 0 (Stdlib.max froze.(v) (r - 1)))
+      (Fault.crash_schedule faults);
+    let admit ~round v =
+      let st, msgs = P.init g v in
+      Pump.install p v
+        (if round = 0 then st else P.resume st ~frozen:(round - 1));
+      if not (Fault.crashed faults ~round v) then Pump.post p v msgs
     in
-    let post v msgs =
-      List.iter
-        (fun (dst, m) ->
-          (* The runner's node programs are churn-oblivious: a send
-             over a down link simply never makes it onto the wire
-             (loss, as far as the protocol can tell). *)
-          if (not t.dynamic) || link_up t ~src:v ~dst then
-            send t ~src:v ~dst ~words:(P.message_words m) m)
-        msgs
-    in
-    (* Late joiners are initialized when their join round arrives. *)
+    for v = 0 to n - 1 do
+      if Fault.joined faults ~round:0 v then admit ~round:0 v
+    done;
+    (* Late joiners appear when their join round arrives: they were
+       already eligible for that round's deliveries, and their first
+       sends go out that round like everyone else's.  A restarted node
+       picks up its frozen state where it left off. *)
     let pending_joins = ref (Fault.join_schedule faults) in
     let pending_restarts = ref (Fault.restart_schedule faults) in
-    for v = 0 to n - 1 do
-      if Fault.joined faults ~round:0 v then begin
-        let st, msgs = P.init g v in
-        states.(v) <- Some st;
-        if not (Fault.crashed faults ~round:0 v) then post v msgs
-      end
-    done;
-    let inboxes = Array.make n [] in
-    let round = ref 0 in
-    (* A node still counts as active only if it will get to act in the
-       next round — a crashed node's frozen state must not keep the
-       network alive. *)
-    let any_active () =
-      let rec go v =
-        v < n
-        && ((states.(v) <> None
-            && (not (Fault.crashed faults ~round:(!round + 1) v))
-            && P.active (state v))
-           || go (v + 1))
-      in
-      go 0
-    in
-    (* A scheduled restart must keep the run alive even while the node
-       is down and everything else is quiescent — the reborn node may
-       have timers to fire. *)
-    let last_restart = Fault.last_restart_round faults in
-    while
-      (not (quiescent t))
-      || any_active ()
-      || !pending_joins <> []
-      || !round < last_restart
-    do
-      if !round >= max_rounds then budget_exhausted t "Sim.Run";
-      incr round;
-      Array.fill inboxes 0 n [];
-      ignore
-        (step t (fun ~dst ~src m -> inboxes.(dst) <- (src, m) :: inboxes.(dst)));
-      (* Nodes whose join round arrived appear now: they were already
-         eligible for this round's deliveries, and their first sends go
-         out this round like everyone else's. *)
+    let landed round =
       let rec join = function
-        | (r, v) :: rest when r <= !round ->
-            let st, msgs = P.init g v in
-            states.(v) <- Some (P.resume st ~round:!round);
-            if not (Fault.crashed faults ~round:!round v) then post v msgs;
+        | (r, v) :: rest when r <= round ->
+            admit ~round v;
             join rest
         | rest -> pending_joins := rest
       in
       join !pending_joins;
-      (* A restarted node picks up its frozen state where it left off. *)
       let rec restart = function
-        | (r, v) :: rest when r <= !round ->
+        | (r, v) :: rest when r <= round ->
             Option.iter
-              (fun st -> states.(v) <- Some (P.resume st ~round:!round))
-              states.(v);
+              (fun st ->
+                Pump.install p v (P.resume st ~frozen:(round - 1 - froze.(v))))
+              (Pump.state p v);
             restart rest
         | rest -> pending_restarts := rest
       in
-      restart !pending_restarts;
-      for v = 0 to n - 1 do
-        if
-          states.(v) <> None
-          && not (Fault.crashed faults ~round:!round v)
-        then begin
-          let st, msgs =
-            P.receive g ~round:!round v (state v) (List.rev inboxes.(v))
-          in
-          states.(v) <- Some st;
-          post v msgs
-        end
-      done
+      restart !pending_restarts
+    in
+    (* A node keeps the run alive only if it will get to act in the
+       next round — a crashed node's frozen state must not; a scheduled
+       restart must, even while everything else is idle. *)
+    let live v = not (Fault.crashed faults ~round:(t.rounds + 1) v) in
+    let last_restart = Fault.last_restart_round faults in
+    while
+      (not (Pump.idle p ~live)) || !pending_joins <> [] || t.rounds < last_restart
+    do
+      if t.rounds >= max_rounds then budget_exhausted t "Sim.Run";
+      ignore (Pump.step p ~landed)
     done;
     let final =
       (* A node whose join round never arrived ends in its initial
          state: it did not participate. *)
-      Array.mapi
-        (fun v -> function Some st -> st | None -> fst (P.init g v))
-        states
+      Array.init n (fun v ->
+          match Pump.state p v with Some st -> st | None -> fst (P.init g v))
     in
     (stats t, final)
 end
@@ -562,6 +664,6 @@ end
 module Run (P : PROTOCOL) = Run_active (struct
   include P
 
-  let active _ = false
-  let resume st ~round:_ = st
+  let next_due _ = max_int
+  let resume st ~frozen:_ = st
 end)

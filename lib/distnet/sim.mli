@@ -15,7 +15,8 @@
     (skeleton, Fibonacci balls) are written.  The {!Run} functor wraps
     the engine for self-contained node programs; {!Run_active} extends
     it to protocols with internal timers (retransmission) that must
-    keep receiving rounds while the network is quiescent.
+    keep receiving rounds while the network is quiescent.  Both run on
+    {!Pump}, which visits a node only when it has something to do.
 
     The engine can be driven over a faulty network: {!create}'s
     [?faults] plan ({!Fault.t}) injects message loss, duplication,
@@ -174,8 +175,10 @@ module type PROTOCOL = sig
     state * (int * message) list
   (** [receive g ~round v st inbox] handles one round at node [v]:
       [inbox] lists (sender, payload) delivered this round.  Called
-      every round for every node (possibly with an empty inbox) until
-      the network is quiescent. *)
+      only in rounds where [v] has a delivery — or, under {!Pump}, a
+      timer due or output {!Pump.poke}d, when [inbox] may be empty — so
+      a node program must do nothing on an empty inbox unless its own
+      timer or output asks it to. *)
 end
 
 (** A protocol that may need rounds to keep ticking while the network
@@ -183,17 +186,68 @@ end
 module type ACTIVE_PROTOCOL = sig
   include PROTOCOL
 
-  val active : state -> bool
-  (** Does this node still have work pending (timers armed, messages
-      unacknowledged)?  The run ends when the network is quiescent and
-      no live node is active. *)
+  val next_due : state -> int
+  (** The round at which this node's earliest timer fires, or
+      [max_int] when none is armed.  Timers are absolute rounds: a
+      [receive] at round [r] must handle every timer due by [r],
+      however many rounds passed since the node's previous [receive].
+      A node is visited at its [next_due] round even with an empty
+      inbox; the run ends when the network is quiescent and no live
+      node has a timer armed. *)
 
-  val resume : state -> round:int -> state
-  (** [resume st ~round] is called before a node's first [receive] at
-      [round] when the rounds since its last [receive] (or its [init],
-      which counts as round 0) did not happen for it: it joined late,
-      or it was crashed and restarts now.  Timers must not count those
-      rounds — a crashed node's timers stay frozen until its restart. *)
+  val resume : state -> frozen:int -> state
+  (** [resume st ~frozen] is called before a node's first [receive]
+      after [frozen] rounds that did not happen for it: it joined late
+      ([init] counts as round 0), or it was crashed and restarts now.
+      Timers must not count those rounds — a crashed node's timers
+      stay frozen until its restart. *)
+end
+
+(** The event-driven round driver shared by {!Run_active} and the
+    fault-tolerant skeleton's ARQ transport.  A round visits — calls
+    [receive] on — only the live nodes with a delivery, with output
+    produced outside a visit ({!poke}), or with a timer due
+    ({!ACTIVE_PROTOCOL.next_due}), in ascending id order.  Any other
+    node's [receive] would send nothing and change nothing, so sends,
+    fault draws and traces are those of visiting every live node every
+    round, while host cost follows messages and timer fires rather
+    than nodes × rounds. *)
+module Pump (P : ACTIVE_PROTOCOL) : sig
+  type 'msg engine := 'msg t
+  type t
+
+  val create : P.message engine -> t
+  (** A driver over the given network with no node installed. *)
+
+  val state : t -> int -> P.state option
+  (** The node's current state, [None] until {!install}ed. *)
+
+  val install : t -> int -> P.state -> unit
+  (** Make the node present with this state (a join, a restart, or a
+      fresh incarnation), arm its timer and forget any output {!poke}d
+      for it.  Its sends, if any, go through {!post}. *)
+
+  val post : t -> int -> (int * P.message) list -> unit
+  (** Put a node's (neighbor, payload) messages on the wire, as a visit
+      does with [receive]'s output.  Node programs are churn-oblivious:
+      a message over a down link is discarded, i.e. looks like loss. *)
+
+  val poke : t -> int -> unit
+  (** The node produced output outside its own visit (the protocol's
+      [receive] will pick it up): visit it this round if it comes later
+      in the current round's order, next round otherwise. *)
+
+  val step : t -> landed:(int -> unit) -> int list
+  (** One round: {!Sim.step} (deliveries fill the inboxes), then
+      [landed round] — the caller's joins, restarts or revives for the
+      round — then due timers and poked nodes, then the visits to the
+      woken live nodes in ascending id order.  Returns the nodes
+      visited, ascending. *)
+
+  val idle : t -> live:(int -> bool) -> bool
+  (** The network is quiescent and no node satisfying [live] has poked
+      output or an armed timer: stepping would change nothing until a
+      scheduled event lands. *)
 end
 
 module Run_active (P : ACTIVE_PROTOCOL) : sig
@@ -205,18 +259,18 @@ module Run_active (P : ACTIVE_PROTOCOL) : sig
     ?spans:Obs.Span.t ->
     Graphlib.Graph.t ->
     stats * P.state array
-  (** Run the protocol to completion.  Under a fault plan, a node that
-      crashes at round [r] executes no [receive] from round [r]
-      on: its state is frozen as of round [r - 1].  If the plan
+  (** Run the protocol to completion on a {!Pump}.  Under a fault plan,
+      a node that crashes at round [r] executes no [receive] from round
+      [r] on: its state is frozen as of round [r - 1].  If the plan
       restarts it at round [r'], it resumes [receive] from [r'] with
-      that frozen state, passed through [resume] first (protocols
-      needing amnesia reset themselves); the run is kept alive until
-      every scheduled restart has landed.  A node with join round [r]
-      is initialized and resumed at round [r] (its [init] sends go out
-      that round); under churn the node programs
-      stay oblivious — a send over a down link is simply discarded,
-      i.e. looks like loss.  A node whose join round never arrives ends
-      in its initial state.
+      that frozen state, passed through [resume ~frozen:(r' - r)] first
+      (protocols needing amnesia reset themselves); the run is kept
+      alive until every scheduled restart has landed.  A node with join
+      round [r] is initialized and resumed with [~frozen:(r - 1)] at
+      round [r] (its [init] sends go out that round); under churn the
+      node programs stay oblivious — a send over a down link is simply
+      discarded, i.e. looks like loss.  A node whose join round never
+      arrives ends in its initial state.
       @raise Invalid_argument after [max_rounds] rounds (default
       [1_000_000]); the message reports the round and the statistics
       accumulated so far. *)

@@ -25,9 +25,14 @@ type plan = {
   workload_seed : int;
 }
 
+val generate : kind:string -> n:int -> p:float -> seed:int -> Graphlib.Graph.t
+(** The one graph-family dispatch, shared with the CLI's [--kind]:
+    [gnp], [gnp-raw], [torus], [king], [hypercube], [pa], [path],
+    [cycle].  Grid and hypercube sizes round [n] to the nearest square
+    or power of two.  @raise Failure on an unknown kind. *)
+
 val graph_of : plan -> Graphlib.Graph.t
-(** Regenerate the plan's graph (same generator dispatch as the CLI's
-    [--kind]).  @raise Failure on an unknown kind. *)
+(** Regenerate the plan's graph with {!generate}. *)
 
 val compile : Spec.t -> sample:int -> plan
 (** Sample number [sample] of the family.  Graph-dependent draws
