@@ -20,7 +20,8 @@
 
    Subcommand:  bench history [--current FILE] [--tolerance X]
            read every checked-in BENCH_*.json (plus FILE, typically a fresh
-           --json capture) and print the per-bench perf trajectory. *)
+           --json capture) and print the per-bench trajectory: one table of
+           ns per run, then one of minor words per run. *)
 
 module Graph = Graphlib.Graph
 module Gen = Graphlib.Gen
@@ -478,36 +479,47 @@ let history args =
         entries)
     columns;
   let names = List.rev !names in
-  Format.printf "== bench history (%d snapshot(s), tolerance +%.0f%%)@."
-    (List.length columns)
-    (100. *. !tolerance);
-  Format.printf "%-30s" "bench";
-  List.iter (fun (l, _) -> Format.printf " %12s" l) columns;
-  Format.printf " %9s@." "delta";
-  List.iter
-    (fun name ->
-      Format.printf "%-30s" name;
-      (* Walk the columns, remembering the last two present values so
-         the delta column compares the newest snapshot to the one
-         before it. *)
-      let prev = ref None and last = ref None in
-      List.iter
-        (fun (_, entries) ->
-          match List.assoc_opt name entries with
-          | Some (Some v, _) ->
-              prev := !last;
-              last := Some v;
-              Format.printf " %12.0f" v
-          | _ -> Format.printf " %12s" "-")
-        columns;
-      (match (!prev, !last) with
-      | Some p, Some l when p > 0. ->
-          let delta = (l -. p) /. p in
-          Format.printf " %+8.1f%%%s" (100. *. delta)
-            (if delta > !tolerance then "  REGRESSED" else "")
-      | _ -> Format.printf " %9s" "-");
-      Format.printf "@.")
-    names
+  (* One table per measure: wall time first, then minor words, each
+     flagging a newest value beyond its own tolerance. *)
+  let table heading tol value =
+    Format.printf "%s@." heading;
+    Format.printf "%-30s" "bench";
+    List.iter (fun (l, _) -> Format.printf " %12s" l) columns;
+    Format.printf " %9s@." "delta";
+    List.iter
+      (fun name ->
+        Format.printf "%-30s" name;
+        (* Walk the columns, remembering the last two present values so
+           the delta column compares the newest snapshot to the one
+           before it. *)
+        let prev = ref None and last = ref None in
+        List.iter
+          (fun (_, entries) ->
+            match Option.bind (List.assoc_opt name entries) value with
+            | Some v ->
+                prev := !last;
+                last := Some v;
+                Format.printf " %12.0f" v
+            | None -> Format.printf " %12s" "-")
+          columns;
+        (match (!prev, !last) with
+        | Some p, Some l when p > 0. ->
+            let delta = (l -. p) /. p in
+            Format.printf " %+8.1f%%%s" (100. *. delta)
+              (if delta > tol then "  REGRESSED" else "")
+        | _ -> Format.printf " %9s" "-");
+        Format.printf "@.")
+      names
+  in
+  table
+    (Printf.sprintf "== bench history (%d snapshot(s), tolerance +%.0f%%)"
+       (List.length columns) (100. *. !tolerance))
+    !tolerance fst;
+  table
+    (Printf.sprintf "== minor words per run (tolerance +%.0f%%)"
+       (100. *. words_tolerance))
+    words_tolerance
+    (fun (_, words) -> Option.map float_of_int words)
 
 let main () =
   (match Array.to_list Sys.argv with

@@ -304,6 +304,10 @@ let link =
   spec_conv "U-V" (int_pair '-') (fun ppf (u, v) ->
       Format.fprintf ppf "%d-%d" u v)
 
+let query_pair =
+  spec_conv "U,V" (int_pair ',') (fun ppf (u, v) ->
+      Format.fprintf ppf "%d,%d" u v)
+
 let edge_at =
   spec_conv "U-V@ROUND"
     (fun s ->
@@ -1611,7 +1615,7 @@ let query_cmd =
   let pairs =
     Arg.(
       value
-      & pos_all string []
+      & pos_all query_pair []
       & info [] ~docv:"U,V"
           ~doc:"Query pairs, e.g. 3,17; seeded samples when omitted.")
   in
@@ -1662,16 +1666,7 @@ let query_cmd =
         answer (Util.Prng.int rng n) (Util.Prng.int rng n)
       done
     end
-    else
-      List.iter
-        (fun pair ->
-          match String.split_on_char ',' pair with
-          | [ u; v ] -> (
-              match (int_of_string_opt u, int_of_string_opt v) with
-              | Some u, Some v -> answer u v
-              | _ -> failwith (Printf.sprintf "bad query pair %S" pair))
-          | _ -> failwith (Printf.sprintf "bad query pair %S (want U,V)" pair))
-        pairs
+    else List.iter (fun (u, v) -> answer u v) pairs
   in
   Cmd.v
     (Cmd.info "query"

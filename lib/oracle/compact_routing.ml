@@ -5,9 +5,9 @@ type t = {
   g : Graph.t;
   landmarks : int list;
   home : int array;  (** nearest landmark per node, -1 unreachable *)
-  landmark_next : (int, int) Hashtbl.t array;  (** node -> (landmark -> hop) *)
-  direct_next : (int, int) Hashtbl.t array;
-      (** node -> (destination -> hop): ball + write-set entries *)
+  landmark_next : Table.t;  (** at v: landmark -> next hop *)
+  direct_next : Table.t;
+      (** at v: destination -> next hop, ball + write-set entries *)
 }
 
 let build ~seed g =
@@ -18,115 +18,87 @@ let build ~seed g =
     let l = List.filter (fun _ -> Util.Prng.bernoulli rng q) (List.init n (fun v -> v)) in
     match l with [] when n > 0 -> [ 0 ] | l -> l
   in
-  let landmark_next = Array.init n (fun _ -> Hashtbl.create 4) in
-  let direct_next = Array.init n (fun _ -> Hashtbl.create 4) in
-  (* One BFS forest per landmark: next hop towards the landmark at every
-     node, and the forest itself for write-set registration. *)
-  let forests =
-    List.map
-      (fun l ->
-        let f = Bfs.multi_source g ~sources:[ l ] in
-        Array.iteri
-          (fun v parent ->
-            if parent >= 0 then Hashtbl.replace landmark_next.(v) l parent)
-          f.Bfs.parent;
-        (l, f))
-      landmarks
+  (* One BFS forest per landmark (landmarks ascend): its parent
+     pointers are every node's next hop towards that landmark, and the
+     paths the write set registers along. *)
+  let parents = Array.make n [||] in
+  List.iter
+    (fun l -> parents.(l) <- (Bfs.multi_source g ~sources:[ l ]).Bfs.parent)
+    landmarks;
+  let landmark_next =
+    Table.build ~n (fun emit ->
+        List.iter
+          (fun l -> Array.iteri (fun v p -> if p >= 0 then emit v l p) parents.(l))
+          landmarks)
   in
   (* Home landmark = overall nearest. *)
   let home_forest = Bfs.multi_source g ~sources:landmarks in
   let home = home_forest.Bfs.source in
-  let dist_to_l = home_forest.Bfs.dist in
   (* Write set: every node on the shortest path from l(v) to v (in
-     l(v)'s BFS tree) learns the next hop towards v. *)
-  List.iter
-    (fun (l, f) ->
-      for v = 0 to n - 1 do
-        if home.(v) = l && f.Bfs.dist.(v) > 0 then begin
-          let rec walk child x =
-            Hashtbl.replace direct_next.(x) v child;
-            let p = f.Bfs.parent.(x) in
-            if x <> l && p >= 0 then walk x p
-          in
-          walk v f.Bfs.parent.(v)
-        end
-      done)
-    forests;
-  (* Ball entries: grow the Thorup–Zwick cluster of every vertex w
-     ({v : delta(v,w) < delta(v,L)}) with predecessor pointers. *)
-  let next_dist = Array.map (fun d -> if d < 0 then max_int else d) dist_to_l in
-  for w = 0 to n - 1 do
-    let dist : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-    (* node -> (distance, next hop towards w) *)
-    let qq = Queue.create () in
-    Hashtbl.replace dist w (0, w);
-    Queue.add w qq;
-    while not (Queue.is_empty qq) do
-      let x = Queue.pop qq in
-      let dx, _ = Hashtbl.find dist x in
-      Graph.iter_neighbors g x (fun y _ ->
-          if not (Hashtbl.mem dist y) then begin
-            let dy = dx + 1 in
-            if dy < next_dist.(y) then begin
-              Hashtbl.replace dist y (dy, x);
-              Hashtbl.replace direct_next.(y) w x;
-              Queue.add y qq
-            end
-          end)
-    done
-  done;
+     l(v)'s BFS tree) learns the next hop towards v.  Destinations are
+     visited in ascending id, so each node's keys ascend. *)
+  let write_set =
+    Table.build ~n (fun emit ->
+        for v = 0 to n - 1 do
+          let l = home.(v) in
+          if l >= 0 && l <> v then begin
+            let parent = parents.(l) in
+            let rec walk child x =
+              emit x v child;
+              let p = parent.(x) in
+              if x <> l && p >= 0 then walk x p
+            in
+            walk v parent.(v)
+          end
+        done)
+  in
+  (* Ball entries: every node x in the Thorup–Zwick cluster of w
+     ({x : delta(x,w) < delta(x,L)}) learns its BFS parent towards w.
+     A ball entry replaces a write-set entry for the same destination. *)
+  let next_dist =
+    Array.map (fun d -> if d < 0 then max_int else d) home_forest.Bfs.dist
+  in
+  let direct_next =
+    Table.build_over ~n write_set (fun emit ->
+        Table.iter_clusters g
+          ~next_dist:(fun _ -> next_dist)
+          (fun w x _ p -> if x <> w then emit x w p))
+  in
   { g; landmarks; home; landmark_next; direct_next }
+
+(* The walk [route] and [route_hops] share: the next hop from [x]
+   towards [dst] (home landmark [l]), or -1.  Direct entries win; the
+   landmark's tree is the fallback. *)
+let next_hop t ~dst ~l x =
+  let next = Table.find t.direct_next x dst in
+  if next >= 0 || l < 0 then next else Table.find t.landmark_next x l
 
 let route t ~src ~dst =
   if src = dst then Some [ src ]
   else begin
-    let n = Graph.n t.g in
-    let l = t.home.(dst) in
+    let limit = 4 * Graph.n t.g and l = t.home.(dst) in
     let rec walk x acc hops =
-      if hops > 4 * n then None
+      if hops > limit then None
       else if x = dst then Some (List.rev (x :: acc))
       else
-        match Hashtbl.find_opt t.direct_next.(x) dst with
-        | Some next -> walk next (x :: acc) (hops + 1)
-        | None -> (
-            if l < 0 then None
-            else
-              match Hashtbl.find_opt t.landmark_next.(x) l with
-              | Some next -> walk next (x :: acc) (hops + 1)
-              | None -> if x = l then None else None)
+        let next = next_hop t ~dst ~l x in
+        if next < 0 then None else walk next (x :: acc) (hops + 1)
     in
     walk src [] 0
   end
 
+let rec hops_from t ~dst ~l ~limit x hops =
+  if hops > limit then -1
+  else if x = dst then hops
+  else
+    let next = next_hop t ~dst ~l x in
+    if next < 0 then -1 else hops_from t ~dst ~l ~limit next (hops + 1)
+
 let route_hops t ~src ~dst =
   if src = dst then 0
-  else begin
-    let n = Graph.n t.g in
-    let l = t.home.(dst) in
-    let rec walk x hops =
-      if hops > 4 * n then -1
-      else if x = dst then hops
-      else
-        match Hashtbl.find_opt t.direct_next.(x) dst with
-        | Some next -> walk next (hops + 1)
-        | None -> (
-            if l < 0 then -1
-            else
-              match Hashtbl.find_opt t.landmark_next.(x) l with
-              | Some next -> walk next (hops + 1)
-              | None -> -1)
-    in
-    walk src 0
-  end
+  else hops_from t ~dst ~l:t.home.(dst) ~limit:(4 * Graph.n t.g) src 0
 
-let table_size t v = Hashtbl.length t.landmark_next.(v) + Hashtbl.length t.direct_next.(v)
-
-let total_state t =
-  let acc = ref 0 in
-  for v = 0 to Graph.n t.g - 1 do
-    acc := !acc + table_size t v
-  done;
-  !acc
-
+let table_size t v = Table.length t.landmark_next v + Table.length t.direct_next v
+let total_state t = Table.entries t.landmark_next + Table.entries t.direct_next
 let landmarks t = t.landmarks
 let home_landmark t v = t.home.(v)

@@ -17,7 +17,13 @@
     [l(v)], where the write-set entries take over.  Total stretch is at
     most [1 + 2 delta(v, L) / delta(u, v) <= 5] for pairs without a
     direct entry, and measured stretch is far lower; per-node state is
-    [O(|L| + ball + write set)] entries ≈ [O(sqrt n)] on average. *)
+    [O(|L| + ball + write set)] entries ≈ [O(sqrt n)] on average.
+
+    The tables are frozen at build time into two flat per-node tables
+    (landmark hops, and direct hops with a ball entry replacing a
+    write-set entry for the same destination), each entry two words
+    and each node's entries sorted, so a routing step is a binary
+    search and a walk allocates nothing. *)
 
 type t
 
@@ -31,8 +37,8 @@ val route : t -> src:int -> dst:int -> int list option
 val route_hops : t -> src:int -> dst:int -> int
 (** Hop count of the walk {!route} would take, without materializing
     the node list: [-1] if the pair is disconnected (or routing
-    failed), [0] for [src = dst].  The serving hot path answers route
-    queries with this form. *)
+    failed), [0] for [src = dst].  Allocates nothing; the serving hot
+    path answers route queries with this form. *)
 
 val table_size : t -> int -> int
 (** Routing entries stored at one node (landmark + ball + write set). *)

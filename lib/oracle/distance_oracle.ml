@@ -6,7 +6,7 @@ type t = {
   levels : int array;
   pivots : int array array;  (** pivots.(i).(v) = p_i(v), -1 if none *)
   pivot_dist : int array array;
-  bunches : (int, int) Hashtbl.t array;  (** bunches.(v) : w -> delta(v,w) *)
+  bunches : Table.t;  (** at v: w -> delta(v,w) *)
 }
 
 let draw_levels rng ~n ~k =
@@ -18,28 +18,6 @@ let draw_levels rng ~n ~k =
         else i
       in
       climb 0)
-
-(* Truncated BFS from a level-i center w, pruned by the Thorup–Zwick
-   cluster condition delta(v, w) < delta(v, A_{i+1}): exactly the
-   vertices whose bunch receives w. *)
-let grow_cluster g ~center ~next_dist ~visit =
-  let dist : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let q = Queue.create () in
-  Hashtbl.replace dist center 0;
-  Queue.add center q;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    let dx = Hashtbl.find dist x in
-    visit ~v:x ~dist:dx;
-    Graph.iter_neighbors g x (fun y _ ->
-        if not (Hashtbl.mem dist y) then begin
-          let dy = dx + 1 in
-          if dy < next_dist.(y) then begin
-            Hashtbl.replace dist y dy;
-            Queue.add y q
-          end
-        end)
-  done
 
 let build ~k ~seed g =
   if k < 1 then invalid_arg "Distance_oracle.build: k must be >= 1";
@@ -62,58 +40,35 @@ let build ~k ~seed g =
   done;
   (* A_k = empty: delta(v, A_k) = infinity. *)
   dist_to_level.(k) <- Array.make n max_int;
-  let bunches = Array.init n (fun _ -> Hashtbl.create 8) in
-  for i = 0 to k - 1 do
-    let next_dist = dist_to_level.(i + 1) in
-    List.iter
-      (fun w ->
-        if levels.(w) = i then
-          grow_cluster g ~center:w ~next_dist ~visit:(fun ~v ~dist ->
-              Hashtbl.replace bunches.(v) w dist))
-      (members i)
-  done;
+  (* A level-i center w's cluster {v : delta(v,w) < delta(v,A_{i+1})}
+     is exactly the set of vertices whose bunch receives w. *)
+  let bunches =
+    Table.build ~n (fun emit ->
+        Table.iter_clusters g
+          ~next_dist:(fun w -> dist_to_level.(levels.(w) + 1))
+          (fun w v d _ -> emit v w d))
+  in
   { k; levels; pivots; pivot_dist; bunches }
 
-let query t u v =
-  if u = v then Some 0
-  else begin
-    let rec loop i u v =
-      if i >= t.k then None
-      else begin
-        let w = t.pivots.(i).(u) in
-        if w < 0 then None
-        else
-          match Hashtbl.find_opt t.bunches.(v) w with
-          | Some dwv -> Some (t.pivot_dist.(i).(u) + dwv)
-          | None -> loop (i + 1) v u
-      end
-    in
-    loop 0 u v
-  end
+(* [est t i u v]: the estimate from level [i] up, alternating the
+   roles of [u] and [v]; a top-level function so a query allocates no
+   closure. *)
+let rec est t i u v =
+  if i >= t.k then -1
+  else
+    let w = t.pivots.(i).(u) in
+    if w < 0 then -1
+    else
+      let dwv = Table.find t.bunches v w in
+      if dwv >= 0 then t.pivot_dist.(i).(u) + dwv else est t (i + 1) v u
 
-let query_est t u v =
-  if u = v then 0
-  else begin
-    let rec loop i u v =
-      if i >= t.k then -1
-      else begin
-        let w = t.pivots.(i).(u) in
-        if w < 0 then -1
-        else
-          match Hashtbl.find_opt t.bunches.(v) w with
-          | Some dwv -> t.pivot_dist.(i).(u) + dwv
-          | None -> loop (i + 1) v u
-      end
-    in
-    loop 0 u v
-  end
+let query_est t u v = if u = v then 0 else est t 0 u v
+
+let query t u v =
+  let d = query_est t u v in
+  if d < 0 then None else Some d
 
 let k t = t.k
-
-let size t =
-  let total = ref 0 in
-  Array.iter (fun b -> total := !total + Hashtbl.length b) t.bunches;
-  !total + (t.k * Array.length t.levels)
-
-let bunch_size t v = Hashtbl.length t.bunches.(v) + t.k
+let size t = Table.entries t.bunches + (t.k * Array.length t.levels)
+let bunch_size t v = Table.length t.bunches v + t.k
 let levels t = t.levels

@@ -18,7 +18,12 @@
 type t
 
 val build : k:int -> seed:int -> Graphlib.Graph.t -> t
-(** Requires [k >= 1].  O(k m + total bunch size) time. *)
+(** Requires [k >= 1].  The bunches are frozen into one flat table
+    (per vertex, its bunch's [(w, delta(v,w))] pairs sorted by [w]: two
+    words per entry), filled in two passes of the cluster searches —
+    one counting, one placing — so the bunches cost their exact-size
+    table plus one set of search work arrays.  Time O(k m + sum
+    over clusters of their members' degrees). *)
 
 val query : t -> int -> int -> int option
 (** [query t u v] is an estimate [d'] with
@@ -27,8 +32,9 @@ val query : t -> int -> int -> int option
 
 val query_est : t -> int -> int -> int
 (** [query t u v] without the option wrapper: [-1] when disconnected.
-    The serving hot path — answering millions of queries against a
-    snapshot — uses this form to avoid one allocation per query. *)
+    At most [k] binary searches, each over one vertex's bunch, and no
+    allocation: the serving hot path — answering millions of queries
+    against a snapshot — uses this form. *)
 
 val k : t -> int
 val size : t -> int

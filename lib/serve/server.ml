@@ -80,6 +80,47 @@ type report = {
   by_generation : (int * int * int) list;
 }
 
+(* In-place heapsort of a latency batch.  The [float array] annotation
+   keeps it monomorphic: a polymorphic comparison would box two floats
+   per call. *)
+let rec sift_down (a : float array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down a c len
+    end
+  end
+
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
+
+(* Per-generation answer tallies, ascending by generation, equal
+   generations summed. *)
+let combine_generations rows =
+  List.sort compare rows
+  |> List.fold_left
+       (fun acc (g, f, s) ->
+         match acc with
+         | (g', f', s') :: rest when g' = g -> (g, f + f', s + s') :: rest
+         | _ -> (g, f, s) :: acc)
+       []
+  |> List.rev
+
+type tally = { gen : int; mutable fresh : int; mutable stale : int }
+
 let run ?(first = 0) ?count t queries =
   let count =
     match count with
@@ -91,7 +132,18 @@ let run ?(first = 0) ?count t queries =
   refresh_cache t;
   let latency = Array.make count 0. in
   let failed = ref 0 and stale_count = ref 0 in
-  let tally : (int, int ref * int ref) Hashtbl.t = Hashtbl.create 4 in
+  let tallies = ref [] in
+  let tally_for gen =
+    match List.find_opt (fun c -> c.gen = gen) !tallies with
+    | Some c -> c
+    | None ->
+        let c = { gen; fresh = 0; stale = 0 } in
+        tallies := c :: !tallies;
+        c
+  in
+  (* The current generation's cell; the list is searched only when the
+     generation moves, so a query allocates nothing. *)
+  let cell = ref (tally_for (Snapshot.generation t.current)) in
   (* One region per batch, not per query — a per-query enter/leave
      would dwarf the nanosecond-scale lookups it measures. *)
   let prof = Obs.Prof.current () in
@@ -120,68 +172,60 @@ let run ?(first = 0) ?count t queries =
       incr failed;
       Metrics.incr t.c_failed
     end;
-    let fresh_r, stale_r =
-      match Hashtbl.find_opt tally gen with
-      | Some cell -> cell
-      | None ->
-          let cell = (ref 0, ref 0) in
-          Hashtbl.add tally gen cell;
-          cell
-    in
-    if stale then incr stale_r else incr fresh_r
+    if gen <> !cell.gen then cell := tally_for gen;
+    let c = !cell in
+    if stale then c.stale <- c.stale + 1 else c.fresh <- c.fresh + 1
   done;
   let batch_stop = Monotonic_clock.now () in
   Obs.Prof.leave prof;
-  Array.sort compare latency;
-  let by_generation =
-    Hashtbl.fold (fun g (f, s) acc -> (g, !f, !s) :: acc) tally []
-    |> List.sort compare
-  in
+  sort_floats latency;
   {
     answered = count;
     failed = !failed;
     stale = !stale_count;
     elapsed_ns = Int64.to_int (Int64.sub batch_stop batch_start);
     latency_sorted = latency;
-    by_generation;
+    by_generation =
+      List.filter_map
+        (fun c ->
+          if c.fresh + c.stale > 0 then Some (c.gen, c.fresh, c.stale) else None)
+        !tallies
+      |> combine_generations;
   }
 
+(* Merge ascending runs by scanning the run heads for the least:
+   O(total x runs), and callers merge a handful of batches.  The
+   annotation keeps the comparisons on unboxed floats. *)
+let merge_sorted (runs : float array array) =
+  let total = Array.fold_left (fun acc r -> acc + Array.length r) 0 runs in
+  let out = Array.make total 0. in
+  let pos = Array.make (Array.length runs) 0 in
+  for o = 0 to total - 1 do
+    let best = ref (-1) in
+    for j = 0 to Array.length runs - 1 do
+      if
+        pos.(j) < Array.length runs.(j)
+        && (!best < 0 || runs.(j).(pos.(j)) < runs.(!best).(pos.(!best)))
+      then best := j
+    done;
+    let j = !best in
+    out.(o) <- runs.(j).(pos.(j));
+    pos.(j) <- pos.(j) + 1
+  done;
+  out
+
 let merge reports =
-  let answered = List.fold_left (fun a r -> a + r.answered) 0 reports in
-  let latency = Array.make answered 0. in
-  let off = ref 0 in
-  List.iter
-    (fun r ->
-      Array.blit r.latency_sorted 0 latency !off (Array.length r.latency_sorted);
-      off := !off + Array.length r.latency_sorted)
-    reports;
-  Array.sort compare latency;
-  let tally : (int, int ref * int ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (g, f, s) ->
-          let fresh_r, stale_r =
-            match Hashtbl.find_opt tally g with
-            | Some cell -> cell
-            | None ->
-                let cell = (ref 0, ref 0) in
-                Hashtbl.add tally g cell;
-                cell
-          in
-          fresh_r := !fresh_r + f;
-          stale_r := !stale_r + s)
-        r.by_generation)
-    reports;
+  let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
   {
-    answered;
-    failed = List.fold_left (fun a r -> a + r.failed) 0 reports;
-    stale = List.fold_left (fun a r -> a + r.stale) 0 reports;
-    elapsed_ns = List.fold_left (fun a r -> a + r.elapsed_ns) 0 reports;
-    latency_sorted = latency;
+    answered = sum (fun r -> r.answered);
+    failed = sum (fun r -> r.failed);
+    stale = sum (fun r -> r.stale);
+    elapsed_ns = sum (fun r -> r.elapsed_ns);
+    latency_sorted =
+      merge_sorted
+        (Array.of_list (List.map (fun r -> r.latency_sorted) reports));
     by_generation =
-      Hashtbl.fold (fun g (f, s) acc -> (g, !f, !s) :: acc) tally []
-      |> List.sort compare;
+      combine_generations (List.concat_map (fun r -> r.by_generation) reports);
   }
 
 let pp_report ppf r =

@@ -62,11 +62,13 @@ type report = {
 
 val run : ?first:int -> ?count:int -> t -> Workload.query array -> report
 (** Answer [queries.(first .. first+count-1)] (defaults: the whole
-    array) against the server, timing each query. *)
+    array) against the server, timing each query.  With the disabled
+    metrics sink a query allocates nothing: the batch allocates its
+    latency array (sorted in place) and its report. *)
 
 val merge : report list -> report
-(** Combined report of consecutive batches (latencies re-sorted,
-    per-generation tallies summed). *)
+(** Combined report of consecutive batches (the sorted latency runs
+    merged, not re-sorted; per-generation tallies summed). *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Deterministic summary lines (counts, generations, staleness) —

@@ -361,6 +361,76 @@ let prop_serve_respects_stretch =
       in
       Server.audit_ok (Server.audit ~samples:64 ~seed:(n + 3) snap w))
 
+(* [Server.merge] against its specification: latencies as if the
+   concatenation were sorted, counts and per-generation tallies
+   summed. *)
+let report_gen =
+  QCheck.Gen.(
+    let* lat = list_size (int_range 0 40) (map float_of_int (int_range 0 30)) in
+    let lat = Array.of_list (List.sort compare lat) in
+    let answered = Array.length lat in
+    let* failed = int_range 0 answered and* stale = int_range 0 answered in
+    let* gens = list_size (int_range 0 3) (int_range 0 4) in
+    let* by_generation =
+      flatten_l
+        (List.map
+           (fun g -> map2 (fun f s -> (g, f, s)) (int_range 0 9) (int_range 0 9))
+           (List.sort_uniq compare gens))
+    in
+    let* elapsed_ns = int_range 0 1000 in
+    return
+      { Server.answered; failed; stale; elapsed_ns; latency_sorted = lat; by_generation })
+
+let prop_merge_matches_sort =
+  QCheck.Test.make ~name:"merge = sort of the concatenation" ~count:300
+    (QCheck.make
+       ~print:(fun rs -> Printf.sprintf "%d reports" (List.length rs))
+       QCheck.Gen.(list_size (int_range 0 6) report_gen))
+    (fun reports ->
+      let m = Server.merge reports in
+      let all = Array.concat (List.map (fun r -> r.Server.latency_sorted) reports) in
+      Array.sort compare all;
+      let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
+      let tally = Hashtbl.create 4 in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun (g, f, s) ->
+              let f0, s0 = Option.value ~default:(0, 0) (Hashtbl.find_opt tally g) in
+              Hashtbl.replace tally g (f0 + f, s0 + s))
+            r.Server.by_generation)
+        reports;
+      let by_generation =
+        Hashtbl.fold (fun g (f, s) acc -> (g, f, s) :: acc) tally []
+        |> List.sort compare
+      in
+      m.Server.latency_sorted = all
+      && m.Server.answered = sum (fun r -> r.Server.answered)
+      && m.Server.failed = sum (fun r -> r.Server.failed)
+      && m.Server.stale = sum (fun r -> r.Server.stale)
+      && m.Server.elapsed_ns = sum (fun r -> r.Server.elapsed_ns)
+      && m.Server.by_generation = by_generation)
+
+(* With the disabled metrics sink a batch allocates its result array
+   and its report, nothing per query. *)
+let test_server_run_allocation () =
+  let g = Gen.connected_gnp (rng ()) ~n:150 ~p:0.05 in
+  let snap = Snapshot.build ~k:2 ~seed:1 ~routing:true g (spanner_of g) in
+  let srv = Server.create snap in
+  let count = 5_000 in
+  let w =
+    Workload.generate ~seed:9 ~n:150
+      { Workload.queries = count; zipf = Some 1.2; route_frac = 0.25 }
+  in
+  let w0 = Gc.minor_words () in
+  let r = Server.run srv w in
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  checki "all answered" count r.Server.answered;
+  checkb
+    (Printf.sprintf "%d minor words <= count + 64" words)
+    true
+    (words <= count + 64)
+
 let suite =
   [
     ( "serve.snapshot",
@@ -391,6 +461,9 @@ let suite =
         Alcotest.test_case "failed = disconnected" `Quick
           test_server_failed_counts_disconnected;
         Alcotest.test_case "metrics sink" `Quick test_server_metrics_sink;
+        Alcotest.test_case "run allocates no words per query" `Quick
+          test_server_run_allocation;
+        QCheck_alcotest.to_alcotest prop_merge_matches_sort;
       ] );
     ( "serve.audit",
       [
