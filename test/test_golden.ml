@@ -28,19 +28,50 @@ let fingerprint (st : Sim.stats) ~retrans ~dead ~output tracer =
     (String.sub (Digest.to_hex (Digest.string output)) 0 12)
     (String.sub (trace_digest tracer) 0 12)
 
-let skeleton ~seed ~n spec =
-  let g = Gen.connected_gnp (Util.Prng.create ~seed) ~n ~p:(8. /. float_of_int n) in
-  let spec = spec g in
-  let faults = Fault.make ~seed:(seed + 1) ~graph:g spec in
-  let tracer = Trace.create () in
-  let r = Skeleton_dist.build ~faults ~tracer ~seed:(seed + 2) g in
+let skeleton_fingerprint ?(extra = "") (r : Skeleton_dist.result) tracer =
   let edges = ref [] in
   Edge_set.iter r.Skeleton_dist.spanner (fun e -> edges := e :: !edges);
   let rc = r.Skeleton_dist.recovery in
   fingerprint r.Skeleton_dist.stats ~retrans:rc.Skeleton_dist.retransmissions
     ~dead:rc.Skeleton_dist.dead_letters
-    ~output:(String.concat "," (List.map string_of_int (List.sort compare !edges)))
+    ~output:
+      (String.concat "," (List.map string_of_int (List.sort compare !edges))
+      ^ extra)
     tracer
+
+let skeleton ~seed ~n spec =
+  let g = Gen.connected_gnp (Util.Prng.create ~seed) ~n ~p:(8. /. float_of_int n) in
+  let spec = spec g in
+  let faults = Fault.make ~seed:(seed + 1) ~graph:g spec in
+  let tracer = Trace.create () in
+  skeleton_fingerprint (Skeleton_dist.build ~faults ~tracer ~seed:(seed + 2) g) tracer
+
+(* A builtin scenario family, sampled and built the way a sweep does it
+   ([Sweep.run_plan]).  Besides the spanner, the output digest covers
+   the repair report, the edges still down, and the crash-recovery
+   counters, so the churn repair pass and restarts are pinned too. *)
+let family name ~sample =
+  let module Compile = Scenario.Compile in
+  let plan = Compile.compile (Option.get (Scenario.Spec.builtin name)) ~sample in
+  let g = Compile.graph_of plan in
+  let faults = Compile.faults ~graph:g plan in
+  let tracer = Trace.create () in
+  let r = Skeleton_dist.build ~faults ~tracer ~seed:plan.Compile.graph_seed g in
+  let rp = r.Skeleton_dist.repair and rc = r.Skeleton_dist.recovery in
+  let extra =
+    Format.asprintf
+      ";%a dead=%d rehooked=%d replaced=%d keep_all=%d repair_rounds=%d \
+       components=%d rejoined=%d down=%s crashed=%d orphaned=%d recovered=%d"
+      Skeleton_dist.pp_outcome rp.Skeleton_dist.outcome
+      rp.Skeleton_dist.dead_spanner_edges rp.Skeleton_dist.rehooked
+      rp.Skeleton_dist.replaced_edges rp.Skeleton_dist.keep_all_fallbacks
+      rp.Skeleton_dist.repair_rounds rp.Skeleton_dist.components
+      rp.Skeleton_dist.rejoined
+      (String.concat "," (List.map string_of_int r.Skeleton_dist.dead_edges))
+      rc.Skeleton_dist.crashed rc.Skeleton_dist.orphaned
+      rc.Skeleton_dist.recovered_edges
+  in
+  skeleton_fingerprint ~extra r tracer
 
 (* The ARQ counters of a [Run_active] protocol are only visible through
    its metrics. *)
@@ -118,6 +149,21 @@ let cases =
         run_active flood ~seed:43 ~n:60
           { lossy with Fault.drop = 0.3; crashes = [ (0, 2) ]; restarts = [ (0, 9) ] }),
       "rounds=276 messages=1143 words=2562 retrans=357 dead=0 output=8ec4e6564ac9 trace=9bec16c9b069" );
+    ( "family: crash-storm",
+      (fun () -> family "crash-storm" ~sample:0),
+      "rounds=785 messages=3420 words=7888 retrans=1249 dead=101 output=9c46236ab442 trace=b374f3852f7a" );
+    ( "family: bursty-loss",
+      (fun () -> family "bursty-loss" ~sample:0),
+      "rounds=244 messages=8663 words=17405 retrans=1315 dead=0 output=d86061fdde6b trace=4c8cff01e609" );
+    ( "family: churn-heavy",
+      (fun () -> family "churn-heavy" ~sample:0),
+      "rounds=215 messages=7191 words=13974 retrans=158 dead=0 output=d86061fdde6b trace=db8443128e78" );
+    ( "family: mixed",
+      (fun () -> family "mixed" ~sample:0),
+      "rounds=746 messages=3360 words=8081 retrans=1411 dead=101 output=020913d21917 trace=57171fff47f3" );
+    ( "family: restart-storm",
+      (fun () -> family "restart-storm" ~sample:0),
+      "rounds=255 messages=3079 words=5755 retrans=87 dead=0 output=4c03df6186f6 trace=67cb86144408" );
   ]
 
 let suite =
