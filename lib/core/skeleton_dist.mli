@@ -30,10 +30,15 @@
     Between rounds each node locally promotes [p2] to [p1]
     (contraction costs no communication).
 
-    {b Fault tolerance.}  With a [?faults] plan the protocol runs every
-    link through the {!Distnet.Reliable} stop-and-wait ARQ, which makes
-    delivery exact-once under loss, duplication and delay, and whose
-    abandoned transmissions double as a crash-stop failure detector.  A
+    {b Fault tolerance.}  The protocol runs on one {!Distnet.Transport}
+    value, created at the start of the build and never branched on:
+    with a [?faults] plan it runs every link through the
+    {!Distnet.Reliable} stop-and-wait ARQ, which makes delivery
+    exact-once under loss, duplication and delay, and whose abandoned
+    transmissions double as a crash-stop failure detector.  The
+    protocol hears of deliveries, suspicions and restarts only through
+    the transport's handler record ([deliver], [suspect], [restart]),
+    passed to every step.  A
     node whose cluster-tree parent ([p1] or [p2]) is detected crashed
     executes the {e orphan abort}: it restores its exchange-boundary
     checkpoint, keeps {e all} its incident live edges (the paper's
@@ -167,9 +172,10 @@ val build_with :
     they stay down past the retry horizon.
 
     With a restart-carrying fault plan (crash-recovery), a node whose
-    restart round arrives is revived with a fresh incarnation: its ARQ
-    sessions are reset on both sides of every incident link, its
-    exchange-boundary checkpoint is restored, and every neighbor that
+    restart round arrives is revived with a fresh incarnation: the
+    transport resets its ARQ sessions on both sides of every incident
+    link, then its protocol state is rebuilt as a fresh node at its
+    exchange-boundary checkpoint, and every neighbor that
     had not yet written it off is forced to now (the crash severed
     their sessions, so the abandonment that would have ripened into a
     suspicion died with the reset).  The reborn node is engine-live

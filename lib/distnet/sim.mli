@@ -203,8 +203,8 @@ module type ACTIVE_PROTOCOL = sig
       stay frozen until its restart. *)
 end
 
-(** The event-driven round driver shared by {!Run_active} and the
-    fault-tolerant skeleton's ARQ transport.  A round visits — calls
+(** The event-driven round driver shared by {!Run_active} and the ARQ
+    path of {!Transport}.  A round visits — calls
     [receive] on — only the live nodes with a delivery, with output
     produced outside a visit ({!poke}), or with a timer due
     ({!ACTIVE_PROTOCOL.next_due}), in ascending id order.  Any other
