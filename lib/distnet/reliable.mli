@@ -8,7 +8,9 @@
     with exponential backoff until acknowledged.  Acknowledgements are
     piggybacked on data traffic when possible and echoed on every
     (re)receipt, so a lost ack is repaired by the sender's retry.  The
-    receiver tracks seen sequence numbers, making delivery to the
+    receiver keeps one watermark per link, the highest sequence number
+    delivered (stop-and-wait starts a sequence number only after the
+    previous one is acknowledged or abandoned), making delivery to the
     inner protocol idempotent under duplication and retransmission.
 
     Each wire message costs [1] word per carried ack plus, when data
@@ -103,8 +105,8 @@ module Make (P : Sim.PROTOCOL) (_ : SINKS) : sig
   (** [reset_peer st ~round w] forgets every ARQ session toward and
       from neighbor [w]: the in-flight transmission (its span dropped
       with reason ["session-reset"]), the send queue, sequence numbers
-      (back to 0), pending and remembered acks, the receive-side dedup
-      table, and [w]'s entry in {!suspected}.  Call it on both sides
+      (back to 0), pending and remembered acks, the receive-side
+      delivery watermark, and [w]'s entry in {!suspected}.  Call it on both sides
       of a link when one endpoint restarts with a fresh incarnation —
       the reborn node must never consume its predecessor's acks, and
       its restarted sequence numbers must not be swallowed as
