@@ -10,9 +10,23 @@ module Metrics = Graphlib.Metrics
 (* ------------------------------------------------------------------ *)
 (* Shared graph source: either --input FILE or a generator spec. *)
 
+(* A malformed input file is a user-facing error, not a crash: the
+   JSON loaders raise [Obs.Jsonl.Parse_error], the graph, snapshot and
+   workload loaders [Failure] naming the file and the fault. *)
+let exit_on_bad_input f =
+  let die msg =
+    Format.eprintf "spanner_cli: %s@." msg;
+    exit 1
+  in
+  try f () with
+  | Obs.Jsonl.Parse_error _ as e -> die (Printexc.to_string e)
+  | Failure msg -> die msg
+
+let read_graph path = exit_on_bad_input (fun () -> Graphlib.Io.read path)
+
 let load_graph ~kind ~n ~p ~seed ~input =
   match input with
-  | Some path -> Graphlib.Io.read path
+  | Some path -> read_graph path
   | None -> Scenario.Compile.generate ~kind ~n ~p ~seed
 
 let kind_arg =
@@ -197,8 +211,8 @@ let eval_cmd =
     Arg.(value & flag & info [ "exact" ] ~doc:"All-pairs distortion (small graphs).")
   in
   let run graph_file spanner_file exact seed =
-    let g = Graphlib.Io.read graph_file in
-    let h = Graphlib.Io.read spanner_file in
+    let g = read_graph graph_file in
+    let h = read_graph spanner_file in
     let rep =
       if exact then Metrics.exact ~g ~h
       else Metrics.sampled (Util.Prng.create ~seed) ~g ~h ~sources:8
@@ -269,18 +283,6 @@ let oracle_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* Shared by simulate, serve, sweep and report *)
-
-(* A malformed input file is a user-facing error, not a crash: the
-   JSON loaders raise [Obs.Jsonl.Parse_error], the snapshot and
-   workload loaders [Failure] naming the file and the fault. *)
-let exit_on_bad_input f =
-  let die msg =
-    Format.eprintf "spanner_cli: %s@." msg;
-    exit 1
-  in
-  try f () with
-  | Obs.Jsonl.Parse_error _ as e -> die (Printexc.to_string e)
-  | Failure msg -> die msg
 
 (* Fault flags, shared by simulate and serve: NODE@ROUND, U-V@ROUND
    and U-V lists. *)

@@ -33,6 +33,49 @@ let test_io_comments_and_blanks () =
       checki "n" 3 (G.n g);
       checki "m" 2 (G.m g))
 
+(* Random graphs of up to 40 vertices, including empty and edgeless
+   ones. *)
+let arbitrary_graph =
+  QCheck.make
+    ~print:(fun g ->
+      let b = Buffer.create 256 in
+      Io.to_buffer g b;
+      Buffer.contents b)
+    QCheck.Gen.(
+      map3
+        (fun n p seed -> Gen.gnp (Util.Prng.create ~seed) ~n ~p)
+        (int_bound 40) (float_bound_inclusive 0.3) int)
+
+let prop_io_round_trip =
+  QCheck.Test.make ~name:"io: of_string (to_buffer g) rebuilds g" ~count:100
+    arbitrary_graph (fun g ->
+      let b = Buffer.create 256 in
+      Io.to_buffer g b;
+      let g' = Io.of_string (Buffer.contents b) in
+      G.n g' = G.n g
+      && G.m g' = G.m g
+      && List.for_all
+           (fun e -> G.edge_endpoints g' e = G.edge_endpoints g e)
+           (List.init (G.m g) Fun.id))
+
+(* A damaged copy of a valid text: cut at a position, or one byte
+   overwritten. *)
+let mutate text (cut, pos, c) =
+  let pos = pos mod (String.length text + 1) in
+  if cut || pos = String.length text then String.sub text 0 pos
+  else String.mapi (fun i x -> if i = pos then c else x) text
+
+let prop_io_damage_fails_cleanly =
+  QCheck.Test.make ~name:"io: damaged text parses or raises Failure"
+    ~count:500
+    QCheck.(pair arbitrary_graph (triple bool (int_bound 1_000_000) char))
+    (fun (g, damage) ->
+      let b = Buffer.create 256 in
+      Io.to_buffer g b;
+      match Io.of_string (mutate (Buffer.contents b) damage) with
+      | _ -> true
+      | exception Failure _ -> true)
+
 let test_king_torus_shape () =
   let g = Gen.king_torus ~width:8 ~height:8 in
   checki "n" 64 (G.n g);
@@ -102,6 +145,8 @@ let suite =
       [
         Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
         Alcotest.test_case "comments & blanks" `Quick test_io_comments_and_blanks;
+        QCheck_alcotest.to_alcotest prop_io_round_trip;
+        QCheck_alcotest.to_alcotest prop_io_damage_fails_cleanly;
       ] );
     ( "graph.king_torus",
       [ Alcotest.test_case "shape" `Quick test_king_torus_shape ] );
