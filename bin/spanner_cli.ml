@@ -10,9 +10,10 @@ module Metrics = Graphlib.Metrics
 (* ------------------------------------------------------------------ *)
 (* Shared graph source: either --input FILE or a generator spec. *)
 
-(* A malformed input file is a user-facing error, not a crash: the
-   JSON loaders raise [Obs.Jsonl.Parse_error], the graph, snapshot and
-   workload loaders [Failure] naming the file and the fault. *)
+(* A malformed or missing input file is a user-facing error, not a
+   crash: the JSON loaders raise [Obs.Jsonl.Parse_error], the graph,
+   snapshot and workload loaders [Failure] naming the file and the
+   fault, and every loader [Sys_error] for a file it cannot open. *)
 let exit_on_bad_input f =
   let die msg =
     Format.eprintf "spanner_cli: %s@." msg;
@@ -20,7 +21,7 @@ let exit_on_bad_input f =
   in
   try f () with
   | Obs.Jsonl.Parse_error _ as e -> die (Printexc.to_string e)
-  | Failure msg -> die msg
+  | Failure msg | Sys_error msg -> die msg
 
 let read_graph path = exit_on_bad_input (fun () -> Graphlib.Io.read path)
 
@@ -285,41 +286,18 @@ let oracle_cmd =
 (* Shared by simulate, serve, sweep and report *)
 
 (* Fault flags, shared by simulate and serve: NODE@ROUND, U-V@ROUND
-   and U-V lists. *)
+   and U-V lists, in the grammar of a plan file's event lines. *)
 
-let int_pair sep s =
-  match String.split_on_char sep (String.trim s) with
-  | [ a; b ] -> (
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b -> Some (a, b)
-      | _ -> None)
-  | _ -> None
+let token_conv kind parse print =
+  Arg.conv ~docv:kind
+    (Arg.parser_of_kind_of_string ~kind parse, fun ppf x -> Format.pp_print_string ppf (print x))
 
-let spec_conv kind parse pp =
-  Arg.conv ~docv:kind (Arg.parser_of_kind_of_string ~kind parse, pp)
-
-let node_at =
-  spec_conv "NODE@ROUND" (int_pair '@') (fun ppf (v, r) ->
-      Format.fprintf ppf "%d@@%d" v r)
-
-let link =
-  spec_conv "U-V" (int_pair '-') (fun ppf (u, v) ->
-      Format.fprintf ppf "%d-%d" u v)
+let node_at = token_conv "NODE@ROUND" Scenario.Codec.at Scenario.Codec.at_to_string
+let link = token_conv "U-V" Scenario.Codec.edge Scenario.Codec.edge_to_string
+let edge_at = token_conv "U-V@ROUND" Scenario.Codec.edge_at Scenario.Codec.edge_at_to_string
 
 let query_pair =
-  spec_conv "U,V" (int_pair ',') (fun ppf (u, v) ->
-      Format.fprintf ppf "%d,%d" u v)
-
-let edge_at =
-  spec_conv "U-V@ROUND"
-    (fun s ->
-      match String.split_on_char '@' (String.trim s) with
-      | [ uv; r ] -> (
-          match (int_pair '-' uv, int_of_string_opt r) with
-          | Some uv, Some r -> Some (uv, r)
-          | _ -> None)
-      | _ -> None)
-    (fun ppf ((u, v), r) -> Format.fprintf ppf "%d-%d@@%d" u v r)
+  token_conv "U,V" (Scenario.Codec.int_pair ',') (fun (u, v) -> Printf.sprintf "%d,%d" u v)
 
 (* The churn plan of --edge-drop/--edge-up/--partition/--join. *)
 let churn_term =

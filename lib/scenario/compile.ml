@@ -196,311 +196,142 @@ let compile (spec : Spec.t) ~sample =
 (* ------------------------------------------------------------------ *)
 (* Plan files *)
 
-let fstr = Dsl.fstr
-
 let to_string plan =
-  let b = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
-  line "#plan v1";
-  line "scenario %s" plan.scenario;
-  line "sample %d" plan.sample;
-  line "graph kind=%s n=%d p=%s seed=%d" plan.kind plan.n (fstr plan.p)
-    plan.graph_seed;
-  line "fault_seed %d" plan.fault_seed;
   let f = plan.fspec in
-  if f.Distnet.Fault.drop > 0. then line "drop %s" (fstr f.Distnet.Fault.drop);
-  if f.Distnet.Fault.dup > 0. then line "dup %s" (fstr f.Distnet.Fault.dup);
-  if f.Distnet.Fault.delay > 0. then
-    line "delay p=%s max=%d" (fstr f.Distnet.Fault.delay)
-      f.Distnet.Fault.max_delay;
-  (match f.Distnet.Fault.drop_profile with
-  | [] -> ()
-  | segments ->
-      line "profile %s"
-        (String.concat " "
-           (List.map
-              (fun (r, rate) -> Printf.sprintf "%d:%s" r (fstr rate))
-              segments)));
-  List.iter
-    (fun (v, r) -> line "crash %d@%d" v r)
-    f.Distnet.Fault.crashes;
-  List.iter
-    (fun (v, r) -> line "restart %d@%d" v r)
-    f.Distnet.Fault.restarts;
-  List.iter
-    (fun ev ->
-      match ev with
-      | Distnet.Fault.Edge_down { round; u; v } -> line "down %d-%d@%d" u v round
-      | Distnet.Fault.Edge_up { round; u; v } -> line "up %d-%d@%d" u v round
-      | Distnet.Fault.Partition _ | Distnet.Fault.Join _ ->
-          invalid_arg
-            "Scenario.Compile.to_string: plan files carry only edge churn")
-    f.Distnet.Fault.churn;
-  (match plan.budget_rounds with
-  | None -> ()
-  | Some r -> line "budget rounds=%d" r);
-  (match plan.workload with
-  | None -> ()
-  | Some w ->
-      let zipf =
-        match w.Serve.Workload.zipf with
-        | None -> ""
-        | Some z -> Printf.sprintf " zipf=%s" (fstr z)
-      in
-      line "workload queries=%d%s route=%s seed=%d" w.Serve.Workload.queries
-        zipf
-        (fstr w.Serve.Workload.route_frac)
-        plan.workload_seed);
-  Buffer.contents b
+  Codec.render
+    ([
+       "#plan v1";
+       "scenario " ^ plan.scenario;
+       Printf.sprintf "sample %d" plan.sample;
+       Codec.graph_line ~kind:plan.kind ~n:plan.n ~p:plan.p ~seed:plan.graph_seed;
+       Printf.sprintf "fault_seed %d" plan.fault_seed;
+     ]
+    @ (if f.drop > 0. then [ "drop " ^ Dsl.fstr f.drop ] else [])
+    @ Codec.dup_line f.dup
+    @ Codec.delay_line ~delay:f.delay ~max_delay:f.max_delay
+    @ (match f.drop_profile with
+      | [] -> []
+      | segments ->
+          [
+            String.concat " "
+              ("profile"
+              :: List.map (fun (r, rate) -> Printf.sprintf "%d:%s" r (Dsl.fstr rate)) segments);
+          ])
+    @ List.map (fun c -> "crash " ^ Codec.at_to_string c) f.crashes
+    @ List.map (fun r -> "restart " ^ Codec.at_to_string r) f.restarts
+    @ List.map
+        (function
+          | Distnet.Fault.Edge_down { round; u; v } ->
+              "down " ^ Codec.edge_at_to_string ((u, v), round)
+          | Distnet.Fault.Edge_up { round; u; v } ->
+              "up " ^ Codec.edge_at_to_string ((u, v), round)
+          | Distnet.Fault.Partition _ | Distnet.Fault.Join _ ->
+              invalid_arg "Scenario.Compile.to_string: plan files carry only edge churn")
+        f.churn
+    @ Codec.budget_line plan.budget_rounds
+    @ Codec.workload_line ~seed:plan.workload_seed plan.workload)
+
+(* One directive line applied to the plan read so far; the flag records
+   whether a [graph] line has been seen.  Event lines are consed, so the
+   event lists come out reversed. *)
+let directive (plan, graphed) (l : Codec.line) =
+  let open Codec in
+  let set plan = Ok (plan, graphed) in
+  let f = plan.fspec in
+  let fault fspec = set { plan with fspec } in
+  match l.key with
+  | "scenario" ->
+      let* scenario = arg Option.some l in
+      set { plan with scenario }
+  | "sample" ->
+      let* sample = arg int_of_string_opt l in
+      set { plan with sample }
+  | "graph" ->
+      let* kind, n, p, graph_seed = graph ~p:0. l in
+      Ok ({ plan with kind; n; p; graph_seed }, true)
+  | "fault_seed" ->
+      let* fault_seed = arg int_of_string_opt l in
+      set { plan with fault_seed }
+  | "drop" ->
+      let* drop = arg float_of_string_opt l in
+      fault { f with drop }
+  | "dup" ->
+      let* dup = dup l in
+      fault { f with dup }
+  | "delay" ->
+      let* delay, max_delay = delay ~max_delay:f.max_delay l in
+      fault { f with delay; max_delay }
+  | "profile" ->
+      let* drop_profile = args (pair ':' int_of_string_opt float_of_string_opt) l in
+      fault { f with drop_profile }
+  | "crash" ->
+      let* c = arg at l in
+      fault { f with crashes = c :: f.crashes }
+  | "restart" ->
+      let* r = arg at l in
+      fault { f with restarts = r :: f.restarts }
+  | "down" ->
+      let* (u, v), round = arg edge_at l in
+      fault { f with churn = Distnet.Fault.Edge_down { round; u; v } :: f.churn }
+  | "up" ->
+      let* (u, v), round = arg edge_at l in
+      fault { f with churn = Distnet.Fault.Edge_up { round; u; v } :: f.churn }
+  | "budget" ->
+      let* r = budget l in
+      set { plan with budget_rounds = Some r }
+  | "workload" ->
+      let* w = workload l in
+      let* workload_seed = int "seed" l in
+      set { plan with workload = Some w; workload_seed }
+  | _ -> unknown l
+
+(* The graph-independent checks {!Spec.validate} runs on the same
+   fields; crash, restart and churn events need the graph and are
+   checked by {!Distnet.Fault.make}. *)
+let validate plan =
+  let open Codec in
+  let f = plan.fspec in
+  let* () = check_graph ~n:plan.n ~p:plan.p in
+  let* () = rate "drop" f.drop in
+  let* () = check_delay ~dup:f.dup ~delay:f.delay ~max_delay:f.max_delay in
+  let* () =
+    List.fold_left
+      (fun ok (_, r) -> Result.bind ok (fun () -> rate "profile rate" r))
+      (Ok ()) f.drop_profile
+  in
+  let* () = check_budget plan.budget_rounds in
+  check_workload plan.workload
+
+let empty =
+  {
+    scenario = "?";
+    sample = 0;
+    kind = "gnp";
+    n = 0;
+    p = 0.;
+    graph_seed = 0;
+    fault_seed = 0;
+    fspec = { Distnet.Fault.default_spec with max_delay = 3 };
+    budget_rounds = None;
+    workload = None;
+    workload_seed = 0;
+  }
 
 let parse text =
-  let err line msg = Error (Printf.sprintf "plan file line %d: %s" line msg) in
-  let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
+  let open Codec in
+  let* plan, graphed = fold ~label:"plan file" directive (empty, false) text in
+  let* () = if graphed then Ok () else Error "plan file: missing 'graph' line" in
+  let f = plan.fspec in
   let plan =
-    ref
-      {
-        scenario = "?";
-        sample = 0;
-        kind = "gnp";
-        n = 0;
-        p = 0.;
-        graph_seed = 0;
-        fault_seed = 0;
-        fspec = { Distnet.Fault.default_spec with max_delay = 3 };
-        budget_rounds = None;
-        workload = None;
-        workload_seed = 0;
-      }
-  in
-  let crashes = ref [] in
-  let restarts = ref [] in
-  let churn = ref [] in
-  let seen_graph = ref false in
-  let at_round what s =
-    (* "V@R" or "U-V@R" *)
-    match String.split_on_char '@' s with
-    | [ head; r ] -> (
-        match int_of_string_opt r with
-        | None -> Error (Printf.sprintf "bad %s %S" what s)
-        | Some round -> Ok (head, round))
-    | _ -> Error (Printf.sprintf "bad %s %S (want ...@ROUND)" what s)
-  in
-  let edge head =
-    match String.split_on_char '-' head with
-    | [ u; v ] -> (
-        match (int_of_string_opt u, int_of_string_opt v) with
-        | Some u, Some v -> Ok (u, v)
-        | _ -> Error (Printf.sprintf "bad edge %S" head))
-    | _ -> Error (Printf.sprintf "bad edge %S (want U-V)" head)
-  in
-  let kvs tokens =
-    List.map
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | None -> (tok, "")
-        | Some i ->
-            ( String.sub tok 0 i,
-              String.sub tok (i + 1) (String.length tok - i - 1) ))
-      tokens
-  in
-  let result =
-    List.fold_left
-      (fun (lineno, acc) raw ->
-        let next r = (lineno + 1, r) in
-        match acc with
-        | Error _ -> next acc
-        | Ok () -> (
-            let l = String.trim raw in
-            if l = "" || l.[0] = '#' then next acc
-            else
-              let tokens =
-                String.split_on_char ' ' l |> List.filter (fun t -> t <> "")
-              in
-              match tokens with
-              | [] -> next acc
-              | key :: rest -> (
-                  let kv = kvs rest in
-                  let str k = List.assoc_opt k kv in
-                  let fld k parse_v =
-                    match str k with
-                    | None -> Error (Printf.sprintf "missing %s=" k)
-                    | Some v -> (
-                        match parse_v v with
-                        | Some x -> Ok x
-                        | None -> Error (Printf.sprintf "bad %s=%S" k v))
-                  in
-                  let set f = plan := f !plan in
-                  let r =
-                    match (key, rest) with
-                    | "scenario", [ name ] ->
-                        set (fun p -> { p with scenario = name });
-                        Ok ()
-                    | "sample", [ k ] -> (
-                        match int_of_string_opt k with
-                        | Some sample ->
-                            set (fun p -> { p with sample });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad sample %S" k))
-                    | "graph", _ ->
-                        let* kind = fld "kind" Option.some in
-                        let* n = fld "n" int_of_string_opt in
-                        let* p =
-                          match str "p" with
-                          | None -> Ok 0.
-                          | Some _ -> fld "p" float_of_string_opt
-                        in
-                        let* graph_seed = fld "seed" int_of_string_opt in
-                        seen_graph := true;
-                        set (fun pl -> { pl with kind; n; p; graph_seed });
-                        Ok ()
-                    | "fault_seed", [ s ] -> (
-                        match int_of_string_opt s with
-                        | Some fault_seed ->
-                            set (fun p -> { p with fault_seed });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad fault_seed %S" s))
-                    | "drop", [ v ] -> (
-                        match float_of_string_opt v with
-                        | Some d ->
-                            set (fun p ->
-                                { p with fspec = { p.fspec with drop = d } });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad drop %S" v))
-                    | "dup", [ v ] -> (
-                        match float_of_string_opt v with
-                        | Some d ->
-                            set (fun p ->
-                                { p with fspec = { p.fspec with dup = d } });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad dup %S" v))
-                    | "delay", _ ->
-                        let* d = fld "p" float_of_string_opt in
-                        let* max_delay =
-                          match str "max" with
-                          | None -> Ok 3
-                          | Some _ -> fld "max" int_of_string_opt
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              fspec = { p.fspec with delay = d; max_delay };
-                            });
-                        Ok ()
-                    | "profile", segs ->
-                        let* segments =
-                          List.fold_left
-                            (fun acc seg ->
-                              let* acc = acc in
-                              match String.split_on_char ':' seg with
-                              | [ r; rate ] -> (
-                                  match
-                                    ( int_of_string_opt r,
-                                      float_of_string_opt rate )
-                                  with
-                                  | Some r, Some rate -> Ok ((r, rate) :: acc)
-                                  | _ ->
-                                      Error
-                                        (Printf.sprintf
-                                           "bad profile segment %S" seg))
-                              | _ ->
-                                  Error
-                                    (Printf.sprintf "bad profile segment %S"
-                                       seg))
-                            (Ok []) segs
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              fspec =
-                                {
-                                  p.fspec with
-                                  drop_profile = List.rev segments;
-                                };
-                            });
-                        Ok ()
-                    | "crash", [ s ] ->
-                        let* v, round = at_round "crash" s in
-                        let* v =
-                          match int_of_string_opt v with
-                          | Some v -> Ok v
-                          | None -> Error (Printf.sprintf "bad crash %S" s)
-                        in
-                        crashes := (v, round) :: !crashes;
-                        Ok ()
-                    | "restart", [ s ] ->
-                        let* v, round = at_round "restart" s in
-                        let* v =
-                          match int_of_string_opt v with
-                          | Some v -> Ok v
-                          | None -> Error (Printf.sprintf "bad restart %S" s)
-                        in
-                        restarts := (v, round) :: !restarts;
-                        Ok ()
-                    | "down", [ s ] ->
-                        let* head, round = at_round "down" s in
-                        let* u, v = edge head in
-                        churn :=
-                          Distnet.Fault.Edge_down { round; u; v } :: !churn;
-                        Ok ()
-                    | "up", [ s ] ->
-                        let* head, round = at_round "up" s in
-                        let* u, v = edge head in
-                        churn := Distnet.Fault.Edge_up { round; u; v } :: !churn;
-                        Ok ()
-                    | "budget", _ ->
-                        let* r = fld "rounds" int_of_string_opt in
-                        set (fun p -> { p with budget_rounds = Some r });
-                        Ok ()
-                    | "workload", _ ->
-                        let* queries = fld "queries" int_of_string_opt in
-                        let* route_frac = fld "route" float_of_string_opt in
-                        let* workload_seed = fld "seed" int_of_string_opt in
-                        let* zipf =
-                          match str "zipf" with
-                          | None -> Ok None
-                          | Some _ ->
-                              let* z = fld "zipf" float_of_string_opt in
-                              Ok (Some z)
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              workload =
-                                Some
-                                  { Serve.Workload.queries; zipf; route_frac };
-                              workload_seed;
-                            });
-                        Ok ()
-                    | other, _ ->
-                        Error (Printf.sprintf "unknown directive %S" other)
-                  in
-                  match r with Ok () -> next acc | Error m -> next (err lineno m))))
-      (1, Ok ())
-      (String.split_on_char '\n' text)
-    |> snd
-  in
-  let* () = result in
-  let* () =
-    if !seen_graph then Ok () else Error "plan file: missing 'graph' line"
-  in
-  let p = !plan in
-  Ok
     {
-      p with
+      plan with
       fspec =
-        {
-          p.fspec with
-          crashes = List.rev !crashes;
-          restarts = List.rev !restarts;
-          churn = List.rev !churn;
-        };
+        { f with crashes = List.rev f.crashes; restarts = List.rev f.restarts; churn = List.rev f.churn };
     }
+  in
+  match validate plan with
+  | Ok () -> Ok plan
+  | Error msg -> Error ("plan file: " ^ msg)
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
-
-let save plan path =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string plan))
+let load = Codec.load parse
+let save = Codec.save to_string

@@ -51,11 +51,7 @@ let default =
     workload = None;
   }
 
-let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v
-
-let rate field v =
-  if v >= 0. && v <= 1. then Ok ()
-  else Error (Printf.sprintf "%s %g not in [0,1]" field v)
+let ( let* ) = Result.bind
 
 let dist field d =
   match Dsl.validate d with
@@ -64,45 +60,30 @@ let dist field d =
 
 let validate s =
   let* () =
-    if s.name = "" || String.contains s.name ' ' then
-      Error (Printf.sprintf "name %S empty or contains spaces" s.name)
-    else Ok ()
+    Codec.check
+      (s.name <> "" && not (String.contains s.name ' '))
+      "name %S empty or contains spaces" s.name
   in
-  let* () =
-    if s.n < 2 then Error (Printf.sprintf "graph n %d < 2" s.n) else Ok ()
-  in
-  let* () = rate "graph p" s.p in
+  let* () = Codec.check_graph ~n:s.n ~p:s.p in
   let* () =
     match s.loss with
     | No_loss -> Ok ()
-    | Iid r -> rate "loss rate" r
+    | Iid r -> Codec.rate "loss rate" r
     | Bursty { ge; horizon } ->
-        let* () =
-          if horizon < 1 then
-            Error (Printf.sprintf "loss horizon %d < 1" horizon)
-          else Ok ()
-        in
+        let* () = Codec.check (horizon >= 1) "loss horizon %d < 1" horizon in
         Dsl.ge_validate ge
   in
-  let* () = rate "dup" s.dup in
-  let* () = rate "delay" s.delay in
-  let* () =
-    if s.max_delay < 1 then
-      Error (Printf.sprintf "max_delay %d < 1" s.max_delay)
-    else Ok ()
-  in
+  let* () = Codec.check_delay ~dup:s.dup ~delay:s.delay ~max_delay:s.max_delay in
   let* () =
     match s.storm with
     | None -> Ok ()
     | Some st ->
-        let* () = rate "storm frac" st.frac in
-        let* () = rate "storm spread" st.spread in
+        let* () = Codec.rate "storm frac" st.frac in
+        let* () = Codec.rate "storm spread" st.spread in
         let* () =
-          if st.round_lo < 1 || st.round_hi < st.round_lo then
-            Error
-              (Printf.sprintf "storm rounds %d..%d not a window within 1.."
-                 st.round_lo st.round_hi)
-          else Ok ()
+          Codec.check
+            (st.round_lo >= 1 && st.round_hi >= st.round_lo)
+            "storm rounds %d..%d not a window within 1.." st.round_lo st.round_hi
         in
         (match st.down with None -> Ok () | Some d -> dist "storm down" d)
   in
@@ -113,35 +94,13 @@ let validate s =
         let* () = dist "churn events" c.events in
         let* () = dist "churn gap" c.gap in
         let* () = dist "churn down" c.down_for in
-        let* () =
-          if c.skew >= 0. then Ok ()
-          else Error (Printf.sprintf "churn skew %g negative" c.skew)
-        in
-        if Dsl.mean c.events > 10_000. then
-          Error
-            (Printf.sprintf "churn events mean %g unreasonably large"
-               (Dsl.mean c.events))
-        else Ok ()
+        let* () = Codec.check (c.skew >= 0.) "churn skew %g negative" c.skew in
+        Codec.check
+          (not (Dsl.mean c.events > 10_000.))
+          "churn events mean %g unreasonably large" (Dsl.mean c.events)
   in
-  let* () =
-    match s.budget_rounds with
-    | Some b when b < 1 -> Error (Printf.sprintf "budget rounds %d < 1" b)
-    | _ -> Ok ()
-  in
-  match s.workload with
-  | None -> Ok ()
-  | Some w ->
-      let* () =
-        if w.Serve.Workload.queries < 1 then
-          Error
-            (Printf.sprintf "workload queries %d < 1" w.Serve.Workload.queries)
-        else Ok ()
-      in
-      let* () = rate "workload route" w.Serve.Workload.route_frac in
-      (match w.Serve.Workload.zipf with
-      | Some z when z < 0. ->
-          Error (Printf.sprintf "workload zipf %g negative" z)
-      | _ -> Ok ())
+  let* () = Codec.check_budget s.budget_rounds in
+  Codec.check_workload s.workload
 
 (* ------------------------------------------------------------------ *)
 (* Text form *)
@@ -149,244 +108,111 @@ let validate s =
 let fstr = Dsl.fstr
 
 let to_string s =
-  let b = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
-  line "#scenario v1";
-  line "name %s" s.name;
-  line "graph kind=%s n=%d p=%s seed=%d" s.kind s.n (fstr s.p) s.graph_seed;
-  (match s.loss with
-  | No_loss -> ()
-  | Iid r -> line "loss iid rate=%s" (fstr r)
-  | Bursty { ge; horizon } ->
-      line "loss ge pgb=%s pbg=%s good=%s bad=%s horizon=%d" (fstr ge.Dsl.p_gb)
-        (fstr ge.Dsl.p_bg) (fstr ge.Dsl.loss_good) (fstr ge.Dsl.loss_bad)
-        horizon);
-  if s.dup > 0. then line "dup %s" (fstr s.dup);
-  if s.delay > 0. then line "delay p=%s max=%d" (fstr s.delay) s.max_delay;
-  (match s.storm with
-  | None -> ()
-  | Some st ->
-      line "storm frac=%s spread=%s rounds=%d..%d%s" (fstr st.frac)
-        (fstr st.spread) st.round_lo st.round_hi
-        (match st.down with
-        | None -> ""
-        | Some d -> " down=" ^ Dsl.to_string d));
-  (match s.churn with
-  | None -> ()
-  | Some c ->
-      line "churn events=%s gap=%s skew=%s down=%s" (Dsl.to_string c.events)
-        (Dsl.to_string c.gap) (fstr c.skew)
-        (Dsl.to_string c.down_for));
-  (match s.budget_rounds with
-  | None -> ()
-  | Some r -> line "budget rounds=%d" r);
-  (match s.workload with
-  | None -> ()
-  | Some w ->
-      let zipf =
-        match w.Serve.Workload.zipf with
-        | None -> ""
-        | Some z -> Printf.sprintf " zipf=%s" (fstr z)
-      in
-      line "workload queries=%d%s route=%s" w.Serve.Workload.queries zipf
-        (fstr w.Serve.Workload.route_frac));
-  Buffer.contents b
+  Codec.render
+    ([
+       "#scenario v1";
+       "name " ^ s.name;
+       Codec.graph_line ~kind:s.kind ~n:s.n ~p:s.p ~seed:s.graph_seed;
+     ]
+    @ (match s.loss with
+      | No_loss -> []
+      | Iid r -> [ "loss iid rate=" ^ fstr r ]
+      | Bursty { ge; horizon } ->
+          [
+            Printf.sprintf "loss ge pgb=%s pbg=%s good=%s bad=%s horizon=%d"
+              (fstr ge.Dsl.p_gb) (fstr ge.Dsl.p_bg) (fstr ge.Dsl.loss_good)
+              (fstr ge.Dsl.loss_bad) horizon;
+          ])
+    @ Codec.dup_line s.dup
+    @ Codec.delay_line ~delay:s.delay ~max_delay:s.max_delay
+    @ (match s.storm with
+      | None -> []
+      | Some st ->
+          [
+            Printf.sprintf "storm frac=%s spread=%s rounds=%d..%d%s" (fstr st.frac)
+              (fstr st.spread) st.round_lo st.round_hi
+              (match st.down with None -> "" | Some d -> " down=" ^ Dsl.to_string d);
+          ])
+    @ (match s.churn with
+      | None -> []
+      | Some c ->
+          [
+            Printf.sprintf "churn events=%s gap=%s skew=%s down=%s"
+              (Dsl.to_string c.events) (Dsl.to_string c.gap) (fstr c.skew)
+              (Dsl.to_string c.down_for);
+          ])
+    @ Codec.budget_line s.budget_rounds
+    @ Codec.workload_line s.workload)
 
-(* [k=v] tokens -> assoc list; a bare token maps to itself. *)
-let kvs tokens =
-  List.map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | None -> (tok, "")
-      | Some i ->
-          ( String.sub tok 0 i,
-            String.sub tok (i + 1) (String.length tok - i - 1) ))
-    tokens
+(* A storm's [rounds=LO..HI]. *)
+let window v =
+  match String.split_on_char '.' v with
+  | [ lo; ""; hi ] -> (
+      match (int_of_string_opt lo, int_of_string_opt hi) with
+      | Some lo, Some hi -> Some (lo, hi)
+      | _ -> None)
+  | _ -> None
+
+(* One directive line applied to the spec read so far; the flag
+   records whether a [name] line has been seen. *)
+let directive (s, named) (l : Codec.line) =
+  let open Codec in
+  let set s = Ok (s, named) in
+  match l.key with
+  | "name" ->
+      let* name = arg Option.some l in
+      Ok ({ s with name }, true)
+  | "graph" ->
+      let* kind, n, p, graph_seed = graph ~p:s.p l in
+      set { s with kind; n; p; graph_seed }
+  | "loss" -> (
+      match l.args with
+      | "iid" :: _ ->
+          let* r = float "rate" l in
+          set { s with loss = Iid r }
+      | "ge" :: _ ->
+          let* p_gb = float "pgb" l in
+          let* p_bg = float "pbg" l in
+          let* loss_good = float "good" l in
+          let* loss_bad = float "bad" l in
+          let* horizon = int "horizon" l in
+          set { s with loss = Bursty { ge = { Dsl.p_gb; p_bg; loss_good; loss_bad }; horizon } }
+      | _ -> Error "loss wants 'iid rate=R' or 'ge ...'")
+  | "dup" ->
+      let* dup = dup l in
+      set { s with dup }
+  | "delay" ->
+      let* delay, max_delay = delay ~max_delay:s.max_delay l in
+      set { s with delay; max_delay }
+  | "storm" ->
+      let* frac = float "frac" l in
+      let* spread = float "spread" l in
+      let* round_lo, round_hi = typed window "rounds" l in
+      let* down = optional dist "down" l in
+      set { s with storm = Some { frac; spread; round_lo; round_hi; down } }
+  | "churn" ->
+      let* events = dist "events" l in
+      let* gap = dist "gap" l in
+      let* skew = float "skew" l in
+      let* down_for = dist "down" l in
+      set { s with churn = Some { events; gap; skew; down_for } }
+  | "budget" ->
+      let* r = budget l in
+      set { s with budget_rounds = Some r }
+  | "workload" ->
+      let* w = workload l in
+      set { s with workload = Some w }
+  | _ -> unknown l
 
 let parse text =
-  let err line msg = Error (Printf.sprintf "scenario spec line %d: %s" line msg) in
-  let lines = String.split_on_char '\n' text in
-  let spec = ref default in
-  let seen_name = ref false in
-  let result =
-    List.fold_left
-      (fun (lineno, acc) raw ->
-        let next r = (lineno + 1, r) in
-        match acc with
-        | Error _ -> next acc
-        | Ok () -> (
-            let l = String.trim raw in
-            if l = "" || l.[0] = '#' then next acc
-            else
-              let tokens =
-                String.split_on_char ' ' l
-                |> List.filter (fun t -> t <> "")
-              in
-              match tokens with
-              | [] -> next acc
-              | key :: rest -> (
-                  let kv = kvs rest in
-                  let str k = List.assoc_opt k kv in
-                  let fld k parse_v =
-                    match str k with
-                    | None -> Error (Printf.sprintf "missing %s=" k)
-                    | Some v -> (
-                        match parse_v v with
-                        | Some x -> Ok x
-                        | None -> Error (Printf.sprintf "bad %s=%S" k v))
-                  in
-                  let flt k = fld k float_of_string_opt in
-                  let int k = fld k int_of_string_opt in
-                  let dst k =
-                    match str k with
-                    | None -> Error (Printf.sprintf "missing %s=" k)
-                    | Some v -> Dsl.parse v
-                  in
-                  let r =
-                    match (key, rest) with
-                    | "name", [ n ] ->
-                        seen_name := true;
-                        spec := { !spec with name = n };
-                        Ok ()
-                    | "name", _ -> Error "name takes exactly one token"
-                    | "graph", _ ->
-                        let* kind = fld "kind" Option.some in
-                        let* n = int "n" in
-                        let* p =
-                          match str "p" with
-                          | None -> Ok (!spec).p
-                          | Some _ -> flt "p"
-                        in
-                        let* graph_seed = int "seed" in
-                        spec := { !spec with kind; n; p; graph_seed };
-                        Ok ()
-                    | "loss", "iid" :: _ ->
-                        let* r = flt "rate" in
-                        spec := { !spec with loss = Iid r };
-                        Ok ()
-                    | "loss", "ge" :: _ ->
-                        let* p_gb = flt "pgb" in
-                        let* p_bg = flt "pbg" in
-                        let* loss_good = flt "good" in
-                        let* loss_bad = flt "bad" in
-                        let* horizon = int "horizon" in
-                        spec :=
-                          {
-                            !spec with
-                            loss =
-                              Bursty
-                                {
-                                  ge = { Dsl.p_gb; p_bg; loss_good; loss_bad };
-                                  horizon;
-                                };
-                          };
-                        Ok ()
-                    | "loss", _ -> Error "loss wants 'iid rate=R' or 'ge ...'"
-                    | "dup", [ v ] -> (
-                        match float_of_string_opt v with
-                        | Some d ->
-                            spec := { !spec with dup = d };
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad dup %S" v))
-                    | "dup", _ -> Error "dup takes one rate"
-                    | "delay", _ ->
-                        let* p = flt "p" in
-                        let* max_delay =
-                          match str "max" with
-                          | None -> Ok (!spec).max_delay
-                          | Some _ -> int "max"
-                        in
-                        spec := { !spec with delay = p; max_delay };
-                        Ok ()
-                    | "storm", _ ->
-                        let* frac = flt "frac" in
-                        let* spread = flt "spread" in
-                        let* lo, hi =
-                          fld "rounds" (fun v ->
-                              match String.split_on_char '.' v with
-                              | [ lo; ""; hi ] -> (
-                                  match
-                                    ( int_of_string_opt lo,
-                                      int_of_string_opt hi )
-                                  with
-                                  | Some lo, Some hi -> Some (lo, hi)
-                                  | _ -> None)
-                              | _ -> None)
-                        in
-                        let* down =
-                          match str "down" with
-                          | None -> Ok None
-                          | Some _ ->
-                              let* d = dst "down" in
-                              Ok (Some d)
-                        in
-                        spec :=
-                          {
-                            !spec with
-                            storm =
-                              Some
-                                {
-                                  frac;
-                                  spread;
-                                  round_lo = lo;
-                                  round_hi = hi;
-                                  down;
-                                };
-                          };
-                        Ok ()
-                    | "churn", _ ->
-                        let* events = dst "events" in
-                        let* gap = dst "gap" in
-                        let* skew = flt "skew" in
-                        let* down_for = dst "down" in
-                        spec :=
-                          { !spec with churn = Some { events; gap; skew; down_for } };
-                        Ok ()
-                    | "budget", _ ->
-                        let* r = int "rounds" in
-                        spec := { !spec with budget_rounds = Some r };
-                        Ok ()
-                    | "workload", _ ->
-                        let* queries = int "queries" in
-                        let* route_frac = flt "route" in
-                        let* zipf =
-                          match str "zipf" with
-                          | None -> Ok None
-                          | Some _ ->
-                              let* z = flt "zipf" in
-                              Ok (Some z)
-                        in
-                        spec :=
-                          {
-                            !spec with
-                            workload =
-                              Some { Serve.Workload.queries; zipf; route_frac };
-                          };
-                        Ok ()
-                    | other, _ ->
-                        Error (Printf.sprintf "unknown directive %S" other)
-                  in
-                  match r with Ok () -> next acc | Error m -> next (err lineno m))))
-      (1, Ok ())
-      lines
-    |> snd
-  in
-  let* () = result in
-  let* () =
-    if !seen_name then Ok () else Error "scenario spec: missing 'name' line"
-  in
-  match validate !spec with
-  | Ok () -> Ok !spec
-  | Error msg -> Error (Printf.sprintf "scenario spec %s: %s" (!spec).name msg)
+  let* s, named = Codec.fold ~label:"scenario spec" directive (default, false) text in
+  let* () = if named then Ok () else Error "scenario spec: missing 'name' line" in
+  match validate s with
+  | Ok () -> Ok s
+  | Error msg -> Error (Printf.sprintf "scenario spec %s: %s" s.name msg)
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
-
-let save s path =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string s))
+let load = Codec.load parse
+let save = Codec.save to_string
 
 (* ------------------------------------------------------------------ *)
 (* Built-in families *)

@@ -231,6 +231,71 @@ let test_plan_save_load () =
   | Ok plan' -> checkb "load = save" true (plan = plan')
   | Error m -> Alcotest.failf "load failed: %s" m
 
+(* A plan file is held to the graph-independent checks of
+   [Spec.validate], with its message texts: a damaged reproducer must
+   be rejected, not run and reported as a protocol failure. *)
+let bad_plan_cases =
+  let plan ?(graph = "graph kind=gnp n=32 p=0.2 seed=11") extra =
+    String.concat "\n" [ "#plan v1"; "scenario demo"; "sample 0"; graph; "fault_seed 7"; extra ]
+  in
+  List.map
+    (fun (text, msg) ->
+      Alcotest.test_case ("rejects: " ^ msg) `Quick (fun () ->
+          match Compile.parse text with
+          | Ok _ -> Alcotest.failf "expected %S to fail" text
+          | Error m -> checks "error text" ("plan file: " ^ msg) m))
+    [
+      (plan ~graph:"graph kind=gnp n=1 p=0.2 seed=11" "", "graph n 1 < 2");
+      (plan ~graph:"graph kind=gnp n=32 p=1.5 seed=11" "", "graph p 1.5 not in [0,1]");
+      (plan "drop 1.5", "drop 1.5 not in [0,1]");
+      (plan "dup 2", "dup 2 not in [0,1]");
+      (plan "delay p=-0.1 max=3", "delay -0.1 not in [0,1]");
+      (plan "delay p=0.1 max=0", "max_delay 0 < 1");
+      (plan "profile 0:0.2 10:1.5 20:0", "profile rate 1.5 not in [0,1]");
+      (plan "budget rounds=-5", "budget rounds -5 < 1");
+      (plan "workload queries=0 route=0.5 seed=1", "workload queries 0 < 1");
+      (plan "workload queries=10 route=1.5 seed=1", "workload route 1.5 not in [0,1]");
+      ( plan "workload queries=10 route=0.5 seed=1 zipf=-3",
+        "workload zipf -3 negative" );
+    ]
+
+(* ... and every plan the compiler emits passes those checks. *)
+let test_compiled_plans_parse () =
+  List.iter
+    (fun (name, spec) ->
+      for sample = 0 to 9 do
+        let plan = Compile.compile spec ~sample in
+        match Compile.parse (Compile.to_string plan) with
+        | Ok plan' -> checkb (Printf.sprintf "%s s%d reparses" name sample) true (plan = plan')
+        | Error m -> Alcotest.failf "%s sample %d rejected: %s" name sample m
+      done)
+    Spec.builtins
+
+(* Truncated or byte-flipped spec and plan text parses to [Ok] or
+   [Error]; no exception escapes either parser. *)
+let damage_never_raises ~name texts parse =
+  let texts = lazy (Array.of_list (texts ())) in
+  QCheck.Test.make ~name ~count:1000
+    QCheck.(pair small_nat (triple bool (int_bound 1_000_000) char))
+    (fun (i, damage) ->
+      let texts = Lazy.force texts in
+      match parse (Test_experiments.mutate texts.(i mod Array.length texts) damage) with
+      | Ok _ | Error _ -> true)
+
+let prop_spec_damage =
+  damage_never_raises ~name:"spec: damaged text parses to Ok or Error"
+    (fun () -> List.map (fun (_, s) -> Spec.to_string s) Spec.builtins)
+    Spec.parse
+
+let prop_plan_damage =
+  damage_never_raises ~name:"plan: damaged text parses to Ok or Error"
+    (fun () ->
+      List.concat_map
+        (fun (_, s) ->
+          List.init 5 (fun sample -> Compile.to_string (Compile.compile s ~sample)))
+        Spec.builtins)
+    Compile.parse
+
 (* ------------------------------------------------------------------ *)
 (* Shrinking *)
 
@@ -392,6 +457,7 @@ let suite =
         Alcotest.test_case "parse errors cite line" `Quick
           test_spec_parse_errors_cite_line;
         Alcotest.test_case "validate names field" `Quick test_spec_validate_names_field;
+        QCheck_alcotest.to_alcotest prop_spec_damage;
       ] );
     ( "scenario.compile",
       [
@@ -399,7 +465,10 @@ let suite =
         Alcotest.test_case "plan round trip" `Quick test_plan_round_trip;
         QCheck_alcotest.to_alcotest prop_restart_plan_round_trip;
         Alcotest.test_case "plan save/load" `Quick test_plan_save_load;
+        Alcotest.test_case "compiled plans parse" `Quick test_compiled_plans_parse;
+        QCheck_alcotest.to_alcotest prop_plan_damage;
       ] );
+    ("scenario.plan_checks", bad_plan_cases);
     ( "scenario.shrink",
       [
         Alcotest.test_case "minimizes structurally" `Quick

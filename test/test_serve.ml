@@ -282,6 +282,37 @@ let test_workload_save_load () =
            false
          with Failure _ -> true))
 
+(* A truncated or byte-flipped workload file loads or raises the
+   documented [Failure]; nothing else escapes. *)
+let prop_workload_damage_fails_cleanly =
+  let saved =
+    lazy
+      (let w =
+         Workload.generate ~seed:8 ~n:40
+           { Workload.queries = 60; zipf = Some 0.8; route_frac = 0.25 }
+       in
+       let file = Filename.temp_file "workload" ".txt" in
+       Fun.protect
+         ~finally:(fun () -> Sys.remove file)
+         (fun () ->
+           Workload.save w file;
+           In_channel.with_open_bin file In_channel.input_all))
+  in
+  QCheck.Test.make ~name:"workload: damaged file loads or raises Failure"
+    ~count:300
+    QCheck.(triple bool (int_bound 1_000_000) char)
+    (fun damage ->
+      let file = Filename.temp_file "workload" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Out_channel.with_open_bin file (fun oc ->
+              Out_channel.output_string oc
+                (Test_experiments.mutate (Lazy.force saved) damage));
+          match Workload.load ~n:40 file with
+          | _ -> true
+          | exception Failure _ -> true))
+
 (* ------------------------------------------------------------------ *)
 (* Server *)
 
@@ -514,6 +545,7 @@ let suite =
         Alcotest.test_case "route fraction" `Quick test_workload_route_frac;
         Alcotest.test_case "zipf skews sources" `Quick test_workload_zipf_skews_sources;
         Alcotest.test_case "save/load round trip" `Quick test_workload_save_load;
+        QCheck_alcotest.to_alcotest prop_workload_damage_fails_cleanly;
       ] );
     ( "serve.server",
       [
